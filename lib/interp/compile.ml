@@ -61,8 +61,14 @@ let force = function
 type cfn = {
   fname : string;
   nparams : int;
+  captures : (int * string) array option;
+      (* the outliner's capture prologue, when the function opens with
+         one (see {!capture_prologue}): statement [k] fills slot
+         [nparams + k] from field [snd] of parameter [fst] *)
   mutable nslots : int;
   mutable body : frame -> unit;
+  mutable after_prologue : frame -> unit;
+      (* the body minus the capture prologue; with [captures] only *)
   mutable layout : (int * string) list;  (* slot -> name, for goldens *)
 }
 
@@ -154,6 +160,66 @@ let bc_plan ctx ~ivslot ~step2 ~cont ~body : Bcgen.plan option =
         ~label ~ivslot ~step2 ~cont ~body ~on_spec ()
 
 (* ------------------------------------------------------------------ *)
+(* The outliner's capture prologue.  A task function [fn F(fp, sh)]
+   opens with [var x = fp.x;] / [var x__ptr = sh.x;] statements and
+   never names a parameter again; a creation site whose struct
+   arguments are literals holding every prologue field can then fill
+   the prologue's slots itself ({!compile_task_creation}).  Recognised
+   on the AST before any body compiles, since creation sites may
+   compile first.  Slot numbers follow from the layout rule: the
+   parameters, then the prologue's locals in order. *)
+
+let capture_prologue (ast : Ast.t) fn_node : (int * string) array option =
+  let n = Ast.node ast fn_node in
+  let proto = n.Ast.lhs in
+  let param k = Ast.token_text ast (Ast.extra ast (proto + 1 + (2 * k))) in
+  if Ast.extra ast proto <> 2 || (Ast.node ast n.Ast.rhs).Ast.tag <> Ast.Block
+  then None
+  else
+    let params = [ param 0; param 1 ] in
+    (* [var x = p.f;] with [p] a parameter and [x] not one *)
+    let capture stmt =
+      let d = Ast.node ast stmt in
+      if d.Ast.tag <> Ast.Var_decl || d.Ast.rhs = 0
+         || List.mem (Ast.token_text ast d.Ast.main_token) params
+      then None
+      else
+        let r = Ast.node ast d.Ast.rhs in
+        if r.Ast.tag <> Ast.Field then None
+        else
+          let b = Ast.node ast r.Ast.lhs in
+          if b.Ast.tag <> Ast.Ident then None
+          else
+            let p = Ast.token_text ast b.Ast.main_token in
+            let field = Ast.token_text ast r.Ast.main_token in
+            if p = param 0 then Some (0, field)
+            else if p = param 1 then Some (1, field)
+            else None
+    in
+    let rec split acc = function
+      | s :: rest ->
+          (match capture s with
+           | Some c -> split (c :: acc) rest
+           | None -> (List.rev acc, s :: rest))
+      | [] -> (List.rev acc, [])
+    in
+    let caps, rest = split [] (Ast.block_stmts ast n.Ast.rhs) in
+    let names_param stmt =
+      let found = ref false in
+      Preproc.Names.walk ast stmt (fun j ->
+          let m = Ast.node ast j in
+          if m.Ast.tag = Ast.Ident
+             && List.mem (Ast.token_text ast m.Ast.main_token) params
+          then found := true);
+      !found
+    in
+    if param 0 = param 1
+       || List.length (List.sort_uniq compare caps) <> List.length caps
+       || List.exists names_param rest
+    then None
+    else Some (Array.of_list caps)
+
+(* ------------------------------------------------------------------ *)
 (* Invocation.                                                         *)
 
 let invoke (f : cfn) (vals : V.t list) : V.t =
@@ -214,6 +280,12 @@ let fold2 f ca cb =
           f x y)
 
 let ( let* ) = Option.bind
+
+(* The [(name, value node)] fields of a struct literal, in order. *)
+let struct_lit_fields (ast : Ast.t) (n : Ast.node) =
+  List.init (Ast.extra ast n.Ast.rhs) (fun k ->
+      ( Ast.token_text ast (Ast.extra ast (n.Ast.rhs + 1 + (2 * k))),
+        Ast.extra ast (n.Ast.rhs + 2 + (2 * k)) ))
 
 (* ------------------------------------------------------------------ *)
 (* Syntactic probes used by the worksharing-drain recogniser.          *)
@@ -362,12 +434,10 @@ let rec compile_expr ctx node : ce =
           | v -> err "dereference of %s" (V.type_name v))
   | Ast.Addr_of -> compile_addr_of ctx n.lhs
   | Ast.Struct_lit ->
-      let count = Ast.extra ast n.rhs in
       let fields =
-        List.init count (fun k ->
-            let name_tok = Ast.extra ast (n.rhs + 1 + (2 * k)) in
-            let vnode = Ast.extra ast (n.rhs + 2 + (2 * k)) in
-            (Ast.token_text ast name_tok, compile_expr ctx vnode))
+        List.map
+          (fun (name, vnode) -> (name, compile_expr ctx vnode))
+          (struct_lit_fields ast n)
       in
       if
         List.for_all
@@ -544,7 +614,10 @@ and compile_call ctx node n : ce =
                  err "function '%s' expects %d arguments, got %d" f
                    stub.nparams n)
            else Dyn (fun fr -> invoke_direct stub ga fr)
-       | Runbound -> compile_builtin ctx fname args_nodes)
+       | Runbound ->
+           (match compile_task_creation ctx fname args_nodes with
+            | Some thunk -> thunk
+            | None -> compile_builtin ctx fname args_nodes))
   | _ -> indirect (force (compile_expr ctx n.Ast.lhs))
 
 (* Direct thunks for the builtins that appear inside loop bodies; the
@@ -580,6 +653,8 @@ and compile_builtin ctx fname args_nodes : ce =
   | "__omp_huge", [||] -> Const (V.VFloat infinity)
   | "__omp_get_thread_num", [||] ->
       Dyn (fun _ -> V.VInt (Omprt.Api.get_thread_num ()))
+  | "__kmpc_omp_taskwait", [||] ->
+      Dyn (fun _ -> Omprt.Kmpc.omp_taskwait (); V.VUnit)
   | "sqrt", [| g |] -> Dyn (fun fr -> V.VFloat (sqrt (V.to_float (g fr))))
   | "log", [| g |] -> Dyn (fun fr -> V.VFloat (log (V.to_float (g fr))))
   | "exp", [| g |] -> Dyn (fun fr -> V.VFloat (exp (V.to_float (g fr))))
@@ -600,6 +675,73 @@ and compile_builtin ctx fname args_nodes : ce =
                | Some f -> f [ v ]
                | None -> err "unknown function or builtin '%s'/%d" "len" 1))
   | _ -> generic ()
+
+(* [__kmpc_omp_task(F, .{ ... }, .{ ... })] where [F] opens with a
+   capture prologue and both struct literals hold every prologue field
+   (each field once).  The thunk evaluates the literal fields left to
+   right — the generic path's order — straight into the prologue's
+   slots of a fresh frame for [F], and the task runs [F]'s body after
+   the prologue: no argument list, no struct, no name lookup.  [None]
+   (the generic path) for any other shape. *)
+and compile_task_creation ctx fname args_nodes : ce option =
+  let ast = ctx.cp.prog.ast in
+  let* fnode, fp_lit, sh_lit =
+    match fname, args_nodes with
+    | "__kmpc_omp_task", [ f; a; b ] -> Some (f, a, b)
+    | _ -> None
+  in
+  let* task_fn = ident_name ctx fnode in
+  let* stub =
+    match resolve ctx task_fn with
+    | Rfn f -> Hashtbl.find_opt ctx.cp.cfns f
+    | Rlocal _ | Rglobal _ | Runbound -> None
+  in
+  let* caps = stub.captures in
+  let literal_fields node =
+    let n = Ast.node ast node in
+    if n.Ast.tag <> Ast.Struct_lit then None
+    else
+      let fields = struct_lit_fields ast n in
+      let names = List.map fst fields in
+      if List.length (List.sort_uniq compare names) = List.length names
+      then Some fields
+      else None
+  in
+  let* fp_fields = literal_fields fp_lit in
+  let* sh_fields = literal_fields sh_lit in
+  let fields = [| fp_fields; sh_fields |] in
+  if not (Array.for_all (fun (p, f) -> List.mem_assoc f fields.(p)) caps)
+  then None
+  else
+    (* destination slot per literal field; -1: evaluated, unused *)
+    let slot_of p f =
+      match Array.find_index (( = ) (p, f)) caps with
+      | Some k -> stub.nparams + k
+      | None -> -1
+    in
+    let writes =
+      List.concat
+        (List.mapi
+           (fun p fl ->
+             List.map
+               (fun (f, node) -> (force (compile_expr ctx node), slot_of p f))
+               fl)
+           (Array.to_list fields))
+    in
+    let gs = Array.of_list (List.map fst writes) in
+    let dst = Array.of_list (List.map snd writes) in
+    let nw = Array.length gs in
+    Some
+      (Dyn (fun fr ->
+           let tfr = Array.make (max 1 stub.nslots) V.VUndef in
+           for k = 0 to nw - 1 do
+             let v = gs.(k) fr in
+             let d = dst.(k) in
+             if d >= 0 then tfr.(d) <- v
+           done;
+           Omprt.Kmpc.omp_task (fun () ->
+               try stub.after_prologue tfr with Rt.Return_exc _ -> ());
+           V.VUnit))
 
 (* ------------------------------------------------------------------ *)
 (* Statements.                                                         *)
@@ -742,7 +884,9 @@ and compile_block ctx node : frame -> unit =
   ctx.scopes <- [] :: ctx.scopes;
   let stmts = compile_stmts ctx (Ast.block_stmts ast node) in
   ctx.scopes <- List.tl ctx.scopes;
-  match stmts with
+  sequence stmts
+
+and sequence = function
   | [||] -> fun _ -> ()
   | [| s |] -> s
   | arr -> fun fr -> Array.iter (fun s -> s fr) arr
@@ -1082,10 +1226,29 @@ let compile_fn cp fname fn_node =
     let name_tok = Ast.extra ast (proto + 1 + (2 * k)) in
     ignore (alloc ctx (Ast.token_text ast name_tok))
   done;
-  let body = compile_stmt ctx n.Ast.rhs in
   let stub = Hashtbl.find cp.cfns fname in
+  (match stub.captures with
+   | None -> stub.body <- compile_stmt ctx n.Ast.rhs
+   | Some caps ->
+       (* the body block, compiled as prologue then the rest, in one
+          scope — the same closures and slots as [compile_block] *)
+       let k = Array.length caps in
+       let stmts = Ast.block_stmts ast n.Ast.rhs in
+       ctx.scopes <- [] :: ctx.scopes;
+       let prologue =
+         sequence (compile_stmts ctx (List.filteri (fun i _ -> i < k) stmts))
+       in
+       assert (ctx.next_slot = nparams + k);
+       let rest =
+         sequence (compile_stmts ctx (List.filteri (fun i _ -> i >= k) stmts))
+       in
+       ctx.scopes <- List.tl ctx.scopes;
+       stub.after_prologue <- rest;
+       stub.body <-
+         (fun fr ->
+           prologue fr;
+           rest fr));
   stub.nslots <- ctx.next_slot;
-  stub.body <- body;
   stub.layout <- List.rev ctx.slots_rev
 
 let compile ?bc (prog : Rt.program) : t =
@@ -1097,7 +1260,9 @@ let compile ?bc (prog : Rt.program) : t =
       let n = Ast.node prog.ast fn_node in
       let nparams = Ast.extra prog.ast n.Ast.lhs in
       Hashtbl.replace cp.cfns fname
-        { fname; nparams; nslots = 0; body = (fun _ -> ()); layout = [] })
+        { fname; nparams; captures = capture_prologue prog.ast fn_node;
+          nslots = 0; body = (fun _ -> ());
+          after_prologue = (fun _ -> ()); layout = [] })
     prog.fns;
   Hashtbl.iter (fun fname fn_node -> compile_fn cp fname fn_node) prog.fns;
   cp

@@ -322,20 +322,16 @@ let single ?loc:_ ?(nowait = false) f =
 (** [omp_task f] — create an explicit task running [f].  Inside a real
     team the task is deferred onto the encountering thread's
     work-stealing deque (teammates steal it at their scheduling
-    points); on serialised/1-thread teams, and outside any region, it
-    executes undeferred at the creation point.  Either way the task's
-    data environment is a fresh copy of the generating task's ICV
-    frame, exactly as {!Team.fork} snapshots frames for implicit
-    tasks. *)
+    points), unless an explicit task creates it while that deque holds
+    a task for each teammate, when it runs inline at the creation point
+    (see {!Team.spawn_task}).  On serialised/1-thread teams, and outside
+    any region, it always runs undeferred.  Either way the task's data
+    environment is a fresh copy of the generating task's ICV frame,
+    exactly as {!Team.fork} snapshots frames for implicit tasks. *)
 let omp_task ?loc:_ (f : unit -> unit) =
   match Team.current () with
   | Some ctx -> Team.spawn_task ctx f
-  | None ->
-      (* the initial task, outside any region: undeferred, and there is
-         no teammate to wait on it, so plain execution is exact *)
-      Profile.task_tick Profile.Task_spawned;
-      Profile.task_tick Profile.Task_undeferred;
-      f ()
+  | None -> Team.run_orphan_task f
 
 (** [omp_taskwait ()] — wait for the current task's direct children to
     complete, executing available team tasks while waiting (a task

@@ -134,6 +134,11 @@ module Taskdeque = struct
       if Atomic.compare_and_set q.top t (t + 1) then x else None
     end
 
+  (* Owner only: two plain loads, no CAS.  Exact for the owner's own
+     pushes and pops; a concurrent steal can make it stale, too high by
+     the number of steals in flight. *)
+  let size q = max 0 (Atomic.get q.bottom - Atomic.get q.top)
+
   (* Lease-time reset: only called while the deque's owner is parked
      and no region is live, so plain stores suffice. *)
   let clear q =

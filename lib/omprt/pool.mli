@@ -50,6 +50,10 @@ module Taskdeque : sig
   val steal : t -> task option
   (** Any thread; FIFO. *)
 
+  val size : t -> int
+  (** Owner only; no atomic read-modify-write.  Concurrent steals may
+      shrink the deque right after the read. *)
+
   val clear : t -> unit
   (** Reset to empty.  Only legal while no other thread can touch the
       deque (lease time / teardown). *)

@@ -71,11 +71,13 @@ let barrier_counters = (Atomics.Int.make 0, Atomics.Int.make 0)
    must be observable (and testable) without enabling timing. *)
 let bc_counters = (Atomics.Int.make 0, Atomics.Int.make 0, Atomics.Int.make 0)
 
-(* Tasking statistics: tasks created, tasks run undeferred at the
-   creation point (serialised/1-thread teams), LIFO pops from the
-   owner's own deque, and FIFO steals from a teammate's.  Always-on so
-   load balance (did work actually migrate?) is observable — and
-   testable — without enabling timing. *)
+(* Tasking statistics: tasks created, tasks run inline at the creation
+   point (1-thread teams, outside regions, and nested tasks created
+   while the creating thread's deque holds a task for each teammate),
+   LIFO pops from the owner's own deque, and FIFO steals from a
+   teammate's — every task is counted by exactly one of the last three.
+   Always-on so load balance (did work actually migrate?) is observable
+   — and testable — without enabling timing. *)
 let task_counters =
   (Atomics.Int.make 0, Atomics.Int.make 0, Atomics.Int.make 0,
    Atomics.Int.make 0)
@@ -238,7 +240,11 @@ let bc_report () =
 
 type task_event =
   | Task_spawned    (** a task created ([__kmpc_omp_task]) *)
-  | Task_undeferred (** …and executed immediately at the creation point *)
+  | Task_undeferred
+      (** …and executed inline at the creation point, skipping the
+          deques: on 1-thread teams, outside any region, and — on any
+          team size — when an explicit task creates it while its
+          thread's deque holds a task for each teammate *)
   | Task_local_pop  (** a task claimed LIFO from the owner's deque *)
   | Task_steal      (** a task claimed FIFO from a teammate's deque *)
 

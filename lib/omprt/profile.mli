@@ -141,7 +141,11 @@ val bc_report : unit -> string
 
 type task_event =
   | Task_spawned    (** a task created ([__kmpc_omp_task]) *)
-  | Task_undeferred (** …and executed immediately at the creation point *)
+  | Task_undeferred
+      (** …and executed inline at the creation point, skipping the
+          deques: on 1-thread teams, outside any region, and — on any
+          team size — when an explicit task creates it while its
+          thread's deque holds a task for each teammate *)
   | Task_local_pop  (** a task claimed LIFO from the owner's deque *)
   | Task_steal      (** a task claimed FIFO from a teammate's deque *)
 

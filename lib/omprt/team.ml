@@ -66,12 +66,16 @@ and ctx = {
   mutable icvs : Icv.t;
   (** the *current* task's ICV frame on this thread: the implicit
       task's (inherited from the encountering task at fork) except
-      while an explicit task runs, when {!run_task} swaps the task's
-      own frame in; [Api.set_*] mutates this and nothing else *)
+      while an explicit task runs, deferred or inline, when the task's
+      own frame is swapped in; [Api.set_*] mutates this and nothing
+      else *)
   mutable task_node : Pool.tasknode;
   (** the current task's completion node — children spawned here hang
       off it, and [taskwait] drains it to zero; swapped alongside
       [icvs] during explicit-task execution *)
+  mutable in_task : bool;
+  (** an explicit task is running on this thread (swapped alongside
+      [icvs]); only such a task may run its new children inline *)
   active_levels : int;
   (** enclosing *active* regions, self included (teams of > 1 thread) —
       the value [max_active_levels] is checked against at the next fork *)
@@ -113,10 +117,18 @@ let current () = Domain.DLS.get key
 
 let set_current c = Domain.DLS.set key c
 
+(* The initial task's frame on this thread: {!Icv.global}, except
+   while an explicit task created outside every region runs, when that
+   task's own copy is swapped in (see {!run_orphan_task}). *)
+let initial_icvs : Icv.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Icv.global)
+
 (** The current task's ICV frame: the innermost context's, or the
-    initial task's ({!Icv.global}) outside any region. *)
+    initial task's outside any region. *)
 let icvs () =
-  match current () with None -> Icv.global | Some c -> c.icvs
+  match current () with
+  | None -> Domain.DLS.get initial_icvs
+  | Some c -> c.icvs
 
 (** Thread id within the innermost enclosing parallel region (0 outside
     any region, matching [omp_get_thread_num]). *)
@@ -212,44 +224,85 @@ let try_get_task (c : ctx) =
       in
       go 1
 
-(** Execute [tk] on [c]'s thread: swap in the task's data environment
-    (ICV frame and completion node), run the body, and — even on a
-    raise — restore the thread's own environment and retire the task
-    from its parent's and the team's live counts, so waiting teammates
-    can never hang on a failed task. *)
+(* Back from an explicit task: put the thread's own environment back
+   and, for a deferred task, leave its parent's and the team's live
+   counts (an inline one never entered them). *)
+let finish_task (c : ctx) ~deferred (parent : Pool.tasknode) icvs node
+    in_task =
+  c.icvs <- icvs;
+  c.task_node <- node;
+  c.in_task <- in_task;
+  if deferred then begin
+    ignore (Atomic.fetch_and_add parent.Pool.live_children (-1));
+    ignore (Atomic.fetch_and_add c.team.task_live (-1))
+  end
+
+(* Run task body [f] on [c]'s thread in the data environment
+   [icvs]/[node], then {!finish_task} — even on a raise, which is then
+   re-raised, so waiting teammates can never hang on a failed task. *)
+let exec_task (c : ctx) ~deferred ~parent icvs node f =
+  let saved_icvs = c.icvs and saved_node = c.task_node
+  and saved_in = c.in_task in
+  c.icvs <- icvs;
+  c.task_node <- node;
+  c.in_task <- true;
+  match f () with
+  | () -> finish_task c ~deferred parent saved_icvs saved_node saved_in
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      finish_task c ~deferred parent saved_icvs saved_node saved_in;
+      Printexc.raise_with_backtrace e bt
+
+(** Execute the deferred task [tk], claimed from a deque, on [c]'s
+    thread. *)
 let run_task (c : ctx) (tk : Pool.task) =
-  let saved_icvs = c.icvs and saved_node = c.task_node in
-  c.icvs <- tk.Pool.t_icvs;
-  c.task_node <- tk.Pool.t_node;
-  Fun.protect
-    ~finally:(fun () ->
-      c.icvs <- saved_icvs;
-      c.task_node <- saved_node;
-      ignore (Atomic.fetch_and_add tk.Pool.t_parent.Pool.live_children (-1));
-      ignore (Atomic.fetch_and_add c.team.task_live (-1)))
-    tk.Pool.t_run
+  exec_task c ~deferred:true ~parent:tk.Pool.t_parent tk.Pool.t_icvs
+    tk.Pool.t_node tk.Pool.t_run
 
 (** [spawn_task c f] — create a task whose data environment snapshots
-    [c]'s current frame.  Deferred onto this thread's deque on real
-    teams; undeferred (executed immediately, still through the full
-    task protocol so ICV isolation and completion accounting hold) on
-    serialised/1-thread teams, where deferral could never add
-    parallelism. *)
+    [c]'s current frame.  It runs undeferred, inline at the creation
+    point, when deferring it would give no idle teammate anything new
+    to steal: on a 1-thread team, or when an explicit task creates it
+    while this thread's own deque already holds a task for each
+    teammate ([nthreads - 1]).  An inline task skips the deque and both
+    live counts — it completes before [spawn_task] returns, so neither
+    its parent's [taskwait] nor a barrier can be waiting on it, and on a
+    real team the enclosing deferred task keeps [task_live] positive
+    throughout, so idle teammates keep stealing.  Otherwise it is
+    deferred onto this thread's deque; tasks created by implicit tasks
+    (region bodies, [single], taskloop generators) always are, since
+    nothing would keep teammates stealing while they ran inline. *)
 let spawn_task (c : ctx) (f : unit -> unit) =
   Profile.task_tick Profile.Task_spawned;
-  let tk =
-    { Pool.t_run = f;
-      t_icvs = Icv.copy c.icvs;
-      t_node = Pool.fresh_tasknode ();
-      t_parent = c.task_node }
-  in
-  ignore (Atomic.fetch_and_add c.task_node.Pool.live_children 1);
-  ignore (Atomic.fetch_and_add c.team.task_live 1);
-  if c.team.nthreads = 1 then begin
+  let nt = c.team.nthreads in
+  if nt = 1
+     || (c.in_task && Pool.Taskdeque.size c.team.deques.(c.tid) >= nt - 1)
+  then begin
     Profile.task_tick Profile.Task_undeferred;
-    run_task c tk
+    exec_task c ~deferred:false ~parent:c.task_node (Icv.copy c.icvs)
+      (Pool.fresh_tasknode ()) f
   end
-  else Pool.Taskdeque.push c.team.deques.(c.tid) tk
+  else begin
+    let tk =
+      { Pool.t_run = f;
+        t_icvs = Icv.copy c.icvs;
+        t_node = Pool.fresh_tasknode ();
+        t_parent = c.task_node }
+    in
+    ignore (Atomic.fetch_and_add c.task_node.Pool.live_children 1);
+    ignore (Atomic.fetch_and_add c.team.task_live 1);
+    Pool.Taskdeque.push c.team.deques.(c.tid) tk
+  end
+
+(** [run_orphan_task f] — an explicit task created outside any region,
+    by the initial task: there is no team to defer to, so it runs
+    undeferred, on its own copy of the initial task's frame. *)
+let run_orphan_task f =
+  Profile.task_tick Profile.Task_spawned;
+  Profile.task_tick Profile.Task_undeferred;
+  let saved = Domain.DLS.get initial_icvs in
+  Domain.DLS.set initial_icvs (Icv.copy saved);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set initial_icvs saved) f
 
 (** Task scheduling point: execute/steal team tasks until none are
     live.  A task body that raises is noted (first failure wins) but
@@ -388,7 +441,11 @@ let pooled_fork lease (run : int -> unit -> unit) =
     (the master's failure wins, then the lowest worker tid). *)
 let fork ?num_threads (body : tid:int -> unit) =
   let parent = current () in
-  let pframe = match parent with None -> Icv.global | Some c -> c.icvs in
+  let pframe =
+    match parent with
+    | None -> Domain.DLS.get initial_icvs
+    | Some c -> c.icvs
+  in
   let requested =
     match num_threads with
     | Some n when n > 0 -> n
@@ -408,6 +465,7 @@ let fork ?num_threads (body : tid:int -> unit) =
       { team; tid; parent;
         icvs = Icv.copy pframe;
         task_node = Pool.fresh_tasknode ();
+        in_task = false;
         active_levels = active + (if nt > 1 then 1 else 0);
         group_threads = group + (nt - 1);
         loop_epoch = 0; single_seen = 0 }

@@ -382,6 +382,32 @@ fn s(n: i64) i64 {
     "preprocessor worksharing handles live in the frame" true
     (List.exists (has_prefix "__omp") layout)
 
+let golden_task_fn_layout () =
+  (* direct task creation fills slots 2.. itself, so the outlined task
+     function's frame must keep the layout every other function has *)
+  let src =
+    {|
+fn f(n: i64) i64 {
+    var a: i64 = 0;
+    //$omp task shared(a) firstprivate(n)
+    {
+        var t: i64 = n + 1;
+        a = t;
+    }
+    //$omp taskwait
+    return a;
+}
+|}
+  in
+  Alcotest.(check layout_t)
+    "parameters, then the capture prologue, then the body's locals"
+    [ (0, "fp"); (1, "sh"); (2, "n"); (3, "a__ptr"); (4, "t") ]
+    (layout_of src "__omp_task_0");
+  let walker, compiled = run_engines src "f" [ V.VInt 4 ] in
+  Alcotest.(check bool) "engines agree" true (walker = compiled);
+  Alcotest.(check bool) "the task's write is visible" true
+    (walker = Ok (V.VInt 5))
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_sequential;
     QCheck_alcotest.to_alcotest prop_omp_outputs;
@@ -392,4 +418,6 @@ let suite =
       golden_shadowing_fresh_slot;
     Alcotest.test_case "layout: omp handles in frame" `Quick
       golden_omp_handles_in_frame;
+    Alcotest.test_case "layout: outlined task function" `Quick
+      golden_task_fn_layout;
   ]

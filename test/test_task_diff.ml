@@ -4,7 +4,10 @@
    ([Interp.call]), the closure compiler ([Interp.Compile.call]) and
    the bytecode tier ([Interp.Compile.compile ~bc]) — at 1 and 4
    threads, and must agree with each other and with the model answer
-   computed in OCaml.  Mirrors the harness of test_compile.ml. *)
+   computed in OCaml.  Mirrors the harness of test_compile.ml.  Fixed
+   programs pin the same agreement for a task created in [main] and for
+   task creations the closure compiler must not take its direct path
+   on. *)
 
 module V = Interp.Value
 module G = QCheck2.Gen
@@ -112,27 +115,29 @@ let case_gen =
   let* nt = oneofl [ 1; 4 ] in
   return (segs, nt)
 
-(* All three tiers on a fresh array each. *)
-let run_tiers src =
-  let args () = [ V.VInt cells; V.VIntArr (Array.make cells 0) ] in
+(* All three tiers, each on fresh arguments. *)
+let tiers ?(fname = "f") ~args src =
   let p = Interp.load ~name:"taskdiff.zr" src in
   let walker =
-    try Ok (Interp.call p "f" (args ()))
+    try Ok (Interp.call p fname (args ()))
     with e -> Error (Printexc.to_string e)
   in
   let compiled =
     try
       let cc = Interp.Compile.compile p in
-      Ok (Interp.Compile.call cc "f" (args ()))
+      Ok (Interp.Compile.call cc fname (args ()))
     with e -> Error (Printexc.to_string e)
   in
   let bytecode =
     try
       let cc = Interp.Compile.compile ~bc:{ Interp.Bcgen.elide = true } p in
-      Ok (Interp.Compile.call cc "f" (args ()))
+      Ok (Interp.Compile.call cc fname (args ()))
     with e -> Error (Printexc.to_string e)
   in
   (walker, compiled, bytecode)
+
+let run_tiers =
+  tiers ~args:(fun () -> [ V.VInt cells; V.VIntArr (Array.make cells 0) ])
 
 let prop_tasking_tiers =
   QCheck2.Test.make
@@ -148,4 +153,99 @@ let prop_tasking_tiers =
       let want = Ok (V.VInt (expected ~nt segs)) in
       walker = want && compiled = want && bytecode = want)
 
-let suite = [ QCheck_alcotest.to_alcotest prop_tasking_tiers ]
+let result_t = Alcotest.(result (testable V.pp ( = )) string)
+
+let check_tiers what ~want (walker, compiled, bytecode) =
+  Alcotest.(check result_t) (what ^ ": walker") want walker;
+  Alcotest.(check result_t) (what ^ ": compiled") want compiled;
+  Alcotest.(check result_t) (what ^ ": bytecode") want bytecode
+
+(* A task created by [main] itself, outside any region, runs on its own
+   copy of the initial task's ICV frame. *)
+let test_orphan_task_icvs () =
+  let base = Omprt.Api.get_max_threads () in
+  Fun.protect ~finally:(fun () -> Omprt.Api.set_num_threads base)
+  @@ fun () ->
+  check_tiers "set_num_threads inside the task stays inside"
+    ~want:(Ok (V.VInt 0))
+    (tiers ~fname:"main" ~args:(fun () -> [])
+       {|
+fn main() i64 {
+    var before = omp.get_max_threads();
+    //$omp task
+    { omp.set_num_threads(before + 3); }
+    return omp.get_max_threads() - before;
+}
+|})
+
+(* Hand-written task creations that differ from the outliner's shape
+   in one respect each, so the compiler must take the generic path;
+   every tier gives the same answer or the same error. *)
+let shape_case ~task_fn ~creation =
+  Printf.sprintf
+    {|
+%s
+
+fn f(k: i64) i64 {
+    var r: i64 = 0;
+    %s
+    return r;
+}
+|}
+    task_fn creation
+
+let test_task_shapes_take_generic_path () =
+  let args () = [ V.VInt 20 ] in
+  let task_fn =
+    {|fn t(fp: anytype, sh: anytype) void {
+    var n = fp.n;
+    var r__ptr = sh.r;
+    r__ptr.* = n * 2;
+}|}
+  in
+  check_tiers "the outliner's own shape" ~want:(Ok (V.VInt 40))
+    (tiers ~args
+       (shape_case ~task_fn
+          ~creation:"__kmpc_omp_task(t, .{ .n = k }, .{ .r = &r });"));
+  check_tiers "capture struct held in a variable" ~want:(Ok (V.VInt 40))
+    (tiers ~args
+       (shape_case ~task_fn
+          ~creation:
+            {|var caps = .{ .n = k };
+    __kmpc_omp_task(t, caps, .{ .r = &r });|}));
+  check_tiers "task function reads fp after its prologue"
+    ~want:(Ok (V.VInt 25))
+    (tiers ~args
+       (shape_case
+          ~task_fn:
+            {|fn t(fp: anytype, sh: anytype) void {
+    var n = fp.n;
+    var r__ptr = sh.r;
+    r__ptr.* = n + fp.m;
+}|}
+          ~creation:
+            "__kmpc_omp_task(t, .{ .n = k, .m = 5 }, .{ .r = &r });"));
+  let ((walker, _, _) as missing) =
+    tiers ~args
+      (shape_case
+         ~task_fn:
+           {|fn t(fp: anytype, sh: anytype) void {
+    var n = fp.n;
+    var m = fp.m;
+    var r__ptr = sh.r;
+    r__ptr.* = n + m;
+}|}
+         ~creation:"__kmpc_omp_task(t, .{ .n = k }, .{ .r = &r });")
+  in
+  Alcotest.(check bool) "the walker reports the missing field" true
+    (match walker with
+     | Error msg -> Astring_contains.contains msg "struct has no field '.m'"
+     | Ok _ -> false);
+  check_tiers "prologue field missing from the literal" ~want:walker missing
+
+let suite =
+  [ QCheck_alcotest.to_alcotest prop_tasking_tiers;
+    Alcotest.test_case "tasks in main own their ICVs on every tier" `Quick
+      test_orphan_task_icvs;
+    Alcotest.test_case "non-outliner task shapes agree on every tier" `Quick
+      test_task_shapes_take_generic_path ]

@@ -10,20 +10,21 @@
     execution exactly — re-execution seeding instead of state
     snapshotting.
 
-    During a run the checker reports every visible operation to
-    {!record}: data reads and writes (identified physically, exactly as
-    the {!Race} detector sees them), lock-style acquisitions (critical
-    sections, the atomic statement lock, [single] claims, shared
-    dynamic-dispatch claims) and atomic reduction-cell operations.
-    From the trace the engine computes {e backtrack candidates} —
-    (decision index, thread) pairs at which running a different thread
-    could reorder two dependent operations:
+    During a run the checker reports every visible operation: data
+    reads and writes reach the {!Race} detector, which keeps the only
+    per-location table and stamps each event with its decision index
+    ({!data_step}); lock-style acquisitions (critical sections, the
+    atomic statement lock, [single] claims, shared dynamic-dispatch
+    claims) and atomic reduction-cell operations reach {!record}.  From
+    the trace the engine computes {e backtrack candidates} — (decision
+    index, thread) pairs at which running a different thread could
+    reorder two dependent operations:
 
     - two data accesses to the same location by different threads, at
-      least one a write, {e not} ordered by happens-before (the same
-      [Vc.covers] test the race detector applies — pairs ordered by
-      fork/join/barrier/lock edges cannot be reordered by scheduling,
-      so they generate no candidates);
+      least one a write, {e not} ordered by happens-before — exactly the
+      pairs the race detector reports, which it hands over through
+      {!backtrack} (pairs ordered by fork/join/barrier/lock edges cannot
+      be reordered by scheduling, so they generate no candidates);
     - two acquisitions of the same lock object by different threads
       (always reorderable, whatever the clocks say: the lock itself is
       the only order between them);
@@ -74,21 +75,17 @@ end
 
 (* ----------------------------- events ----------------------------- *)
 
-(** Kinds of visible operations, by dependence behaviour:
-    [Kread]/[Kwrite] are happens-before-filtered data accesses;
+(** Kinds of synchronising operations, by dependence behaviour:
     [Kacquire] is a lock-style acquisition (conflicts with the previous
     acquisition of the same object regardless of clocks); [Kcombine] is
     a commuting atomic reduction update (conflicts with loads only);
-    [Kload] is an atomic read (conflicts with combines). *)
-type kind = Kread | Kwrite | Kacquire | Kcombine | Kload
+    [Kload] is an atomic read (conflicts with combines).  Data accesses
+    are not recorded here: the {!Race} detector tracks them. *)
+type kind = Kacquire | Kcombine | Kload
 
-(** Visible-operation object identity.  Data locations are physical —
-    the same cells the tracer hands the race detector — so aliasing is
-    resolved for free; locks and [single] claims are named. *)
+(** Synchronisation object identity: atomic cells and dispatchers
+    physically, locks and [single] claims by name. *)
 type obj =
-  | Ocell of Interp.Value.t ref
-  | Ofelem of float array * int
-  | Oielem of int array * int
   | Olock of string                       (* criticals, the atomic lock *)
   | Oatomf of Omprt.Atomics.Float.t
   | Oatomi of Omprt.Atomics.Int.t
@@ -112,10 +109,7 @@ type exec = {
                                     previous thread *)
   mutable last : int;            (* previously chosen thread, -1 at start *)
   mutable diverged : bool;       (* prefix replay failed — determinism bug *)
-  (* per-object tables, mirroring Race's physical-identity scheme *)
-  mutable cells : (Interp.Value.t ref * objstate) list;
-  mutable fas : (float array * (int, objstate) Hashtbl.t) list;
-  mutable ias : (int array * (int, objstate) Hashtbl.t) list;
+  (* per-object tables of the synchronising operations *)
   named : (string, objstate) Hashtbl.t;
   mutable atf : (Omprt.Atomics.Float.t * objstate) list;
   mutable ati : (Omprt.Atomics.Int.t * objstate) list;
@@ -130,7 +124,6 @@ let new_exec ~prefix =
     switches = Vec.create ();
     last = -1;
     diverged = false;
-    cells = []; fas = []; ias = [];
     named = Hashtbl.create 16;
     atf = []; ati = []; disp = [];
     cands = Hashtbl.create 32 }
@@ -164,43 +157,8 @@ let diverged ex = ex.diverged
 
 let fresh_state () = { ow = None; oreads = [] }
 
-let elem_state h i =
-  match Hashtbl.find_opt h i with
-  | Some s -> s
-  | None ->
-      let s = fresh_state () in
-      Hashtbl.add h i s;
-      s
-
 let state_of ex (o : obj) : objstate =
   match o with
-  | Ocell r ->
-      (match List.find_opt (fun (x, _) -> x == r) ex.cells with
-       | Some (_, s) -> s
-       | None ->
-           let s = fresh_state () in
-           ex.cells <- (r, s) :: ex.cells;
-           s)
-  | Ofelem (a, i) ->
-      let h =
-        match List.find_opt (fun (x, _) -> x == a) ex.fas with
-        | Some (_, h) -> h
-        | None ->
-            let h = Hashtbl.create 64 in
-            ex.fas <- (a, h) :: ex.fas;
-            h
-      in
-      elem_state h i
-  | Oielem (a, i) ->
-      let h =
-        match List.find_opt (fun (x, _) -> x == a) ex.ias with
-        | Some (_, h) -> h
-        | None ->
-            let h = Hashtbl.create 64 in
-            ex.ias <- (a, h) :: ex.ias;
-            h
-      in
-      elem_state h i
   | Olock name ->
       let key = "lock:" ^ name in
       (match Hashtbl.find_opt ex.named key with
@@ -241,13 +199,15 @@ let state_of ex (o : obj) : objstate =
 
 (* ------------------------ backtrack candidates -------------------- *)
 
-(* A candidate at decision [s]: force [gid] there if it was runnable —
-   the replayed prefix is identical up to [s], so the enabled set at
-   [s] is too.  When [gid] was not yet runnable (e.g. not yet spawned),
-   fall back to every other thread runnable at [s]: conservative, as in
-   the original Flanagan–Godefroid formulation. *)
-let add_candidate ex (prior : evt) ~gid =
-  let s = prior.e_step in
+(** A backtrack candidate: an operation by [gid] depends on, and may
+    be reordered with, one that ran at decision [step] (for data
+    accesses, a racing pair the {!Race} detector found).  Force [gid]
+    at [step] if it was runnable there — the replayed prefix is
+    identical up to [step], so the enabled set is too; when it was not
+    (e.g. not yet spawned), fall back to every other thread runnable at
+    [step]: conservative, as in the original Flanagan–Godefroid
+    formulation. *)
+let backtrack ex ~step:s ~gid =
   if s >= 0 && s < Vec.length ex.enabled then begin
     let there = Vec.get ex.enabled s in
     let chosen_there = Vec.get ex.choices s in
@@ -261,57 +221,50 @@ let add_candidate ex (prior : evt) ~gid =
       tids
   end
 
-(** Record a visible operation by thread [gid] whose vector clock is
-    [vc], at the decision index that resumed it (the latest one).
-    Updates the object's last-access state and adds backtrack
-    candidates for every dependent, reorderable prior operation. *)
 let debug = Sys.getenv_opt "ZIGOMP_DPOR_DEBUG" <> None
 
-let kind_s = function
-  | Kread -> "r" | Kwrite -> "w" | Kacquire -> "a" | Kcombine -> "c"
-  | Kload -> "l"
-
-let record ex ~gid ~(vc : Vc.t) ~(obj : obj) ~(kind : kind) =
+let log ex ~gid ~vc kind =
   if debug then
     Printf.eprintf "[dpor] step=%d gid=%d clk=%d %s\n%!"
-      (Vec.length ex.choices - 1) gid (Vc.get vc gid) (kind_s kind);
+      (Vec.length ex.choices - 1) gid (Vc.get vc gid) kind
+
+(** A data access by thread [gid]: the decision index that resumed it
+    (the latest one), which the {!Race} detector stamps on the access's
+    event. *)
+let data_step ex ~gid ~vc ~rw =
+  log ex ~gid ~vc (match rw with `R -> "r" | `W -> "w");
+  Vec.length ex.choices - 1
+
+let kind_s = function Kacquire -> "a" | Kcombine -> "c" | Kload -> "l"
+
+(** Record a synchronising operation by thread [gid] whose vector clock
+    is [vc], at the decision index that resumed it (the latest one).
+    Updates the object's last-access state and adds backtrack
+    candidates for every dependent prior operation. *)
+let record ex ~gid ~(vc : Vc.t) ~(obj : obj) ~(kind : kind) =
+  log ex ~gid ~vc (kind_s kind);
   let st = state_of ex obj in
   let e = { e_gid = gid; e_clk = Vc.get vc gid; e_step = Vec.length ex.choices - 1 } in
-  let racing (prior : evt) =
-    prior.e_gid <> gid
-    && not (Vc.covers vc ~tid:prior.e_gid ~clk:prior.e_clk)
-  in
   let other (prior : evt) = prior.e_gid <> gid in
+  let cand (prior : evt) = backtrack ex ~step:prior.e_step ~gid in
   (match kind with
-   | Kread ->
-       (match st.ow with
-        | Some w when racing w -> add_candidate ex w ~gid
-        | _ -> ());
-       st.oreads <- e :: List.filter (fun r -> r.e_gid <> gid) st.oreads
-   | Kwrite ->
-       (match st.ow with
-        | Some w when racing w -> add_candidate ex w ~gid
-        | _ -> ());
-       List.iter (fun r -> if racing r then add_candidate ex r ~gid) st.oreads;
-       st.ow <- Some e;
-       st.oreads <- []
    | Kacquire ->
        (* lock-ordered: the happens-before edge comes from the lock
           itself, so never filter by clocks *)
        (match st.ow with
-        | Some w when other w -> add_candidate ex w ~gid
+        | Some w when other w -> cand w
         | _ -> ());
-       List.iter (fun r -> if other r then add_candidate ex r ~gid) st.oreads;
+       List.iter (fun r -> if other r then cand r) st.oreads;
        st.ow <- Some e;
        st.oreads <- []
    | Kcombine ->
        (* commutes with other combines; conflicts with loads *)
-       List.iter (fun r -> if other r then add_candidate ex r ~gid) st.oreads;
+       List.iter (fun r -> if other r then cand r) st.oreads;
        st.ow <- Some e;
        st.oreads <- []
    | Kload ->
        (match st.ow with
-        | Some w when other w -> add_candidate ex w ~gid
+        | Some w when other w -> cand w
         | _ -> ());
        st.oreads <- e :: List.filter (fun r -> r.e_gid <> gid) st.oreads)
 
@@ -392,6 +345,7 @@ type verdict =
 
 type stats = {
   executions : int;      (** executions actually run *)
+  decisions : int;       (** scheduling decisions, over all executions *)
   racy_execs : int;      (** executions with at least one race finding *)
   diverged_execs : int;  (** prefix replays that failed — must be 0 *)
   verdict : verdict;
@@ -415,6 +369,7 @@ let explore ~max_execs ~preempt_bound
   let seen = Hashtbl.create 64 in
   let findings = ref [] in
   let execs = ref 0 and racy = ref 0 and diverged = ref 0 in
+  let decisions = ref 0 in
   let verdict = ref Complete in
   let rec loop () =
     if !execs >= max_execs then
@@ -431,6 +386,7 @@ let explore ~max_execs ~preempt_bound
           let ex = new_exec ~prefix:(materialize pd) in
           let fs = run_one ex in
           incr execs;
+          decisions := !decisions + Vec.length ex.choices;
           if debug then
             Printf.eprintf
               "[dpor] exec=%d prefix=%d steps=%d cands=%d findings=%d\n%!"
@@ -463,5 +419,5 @@ let explore ~max_execs ~preempt_bound
       :: fs
   in
   ( fs,
-    { executions = !execs; racy_execs = !racy; diverged_execs = !diverged;
-      verdict = !verdict } )
+    { executions = !execs; decisions = !decisions; racy_execs = !racy;
+      diverged_execs = !diverged; verdict = !verdict } )

@@ -3,21 +3,17 @@
     See the implementation header for the algorithm; DESIGN.md for the
     happens-before model and the soundness caveats. *)
 
-(** Dependence class of a visible operation. *)
+(** Dependence class of a synchronising operation.  Data accesses are
+    tracked by the {!Race} detector and reach the engine through
+    {!data_step} and {!backtrack}. *)
 type kind =
-  | Kread      (** data read — happens-before-filtered *)
-  | Kwrite     (** data write — happens-before-filtered *)
   | Kacquire   (** lock-style acquisition: critical, atomic statement
                    lock, [single] claim, shared dispatch claim *)
   | Kcombine   (** commuting atomic reduction update *)
   | Kload      (** atomic load — conflicts with combines *)
 
-(** Object identity of a visible operation; data locations are
-    physical, matching what the tracer hands the race detector. *)
+(** Object identity of a synchronising operation. *)
 type obj =
-  | Ocell of Interp.Value.t ref
-  | Ofelem of float array * int
-  | Oielem of int array * int
   | Olock of string
   | Oatomf of Omprt.Atomics.Float.t
   | Oatomi of Omprt.Atomics.Int.t
@@ -26,8 +22,8 @@ type obj =
 
 type exec
 (** One controlled execution: the forced decision prefix, the decision
-    log, the per-object last-access state and the backtrack candidates
-    harvested so far. *)
+    log, the synchronisation objects' last-access state and the
+    backtrack candidates harvested so far. *)
 
 val new_exec : prefix:int array -> exec
 
@@ -39,9 +35,18 @@ val decide : exec -> enabled:int list -> int
 
 val record :
   exec -> gid:int -> vc:Vc.t -> obj:obj -> kind:kind -> unit
-(** Record a visible operation of the current thread and derive
-    backtrack candidates from dependent, reorderable prior operations
-    on the same object. *)
+(** Record a synchronising operation of the current thread and derive
+    backtrack candidates from dependent prior operations on the same
+    object. *)
+
+val data_step : exec -> gid:int -> vc:Vc.t -> rw:[ `R | `W ] -> int
+(** The decision index a data access by the current thread [gid] lands
+    on, for the race detector to stamp on its event.  Logs the access
+    under [ZIGOMP_DPOR_DEBUG]. *)
+
+val backtrack : exec -> step:int -> gid:int -> unit
+(** A data access by [gid] races with a prior access made at decision
+    [step]: add the backtrack candidate that reorders them. *)
 
 val diverged : exec -> bool
 (** A forced prefix failed to replay — a determinism violation. *)
@@ -56,6 +61,7 @@ type verdict =
 
 type stats = {
   executions : int;
+  decisions : int;  (** scheduling decisions, over all executions *)
   racy_execs : int;
   diverged_execs : int;
   verdict : verdict;

@@ -1,84 +1,87 @@
-(** The vector-clock race detector proper.
+(** The vector-clock race detector proper, and the checker's only
+    per-location state.
 
-    Per traced location the detector keeps the last write epoch and the
-    most recent read per thread (a read "vector", FastTrack-style).  An
-    access races with a recorded prior access when the prior belongs to
-    a different thread and the current thread's vector clock does not
-    cover the prior's epoch — i.e. no fork/join/barrier/lock edge
+    Per traced location the detector keeps the last write and the most
+    recent read per thread since it (a read "vector", FastTrack-style).
+    An access races with a recorded prior access when the prior belongs
+    to a different thread and the current thread's vector clock does
+    not cover the prior's epoch — i.e. no fork/join/barrier/lock edge
     ordered them.
+
+    Every event is stamped with the DPOR decision index that resumed
+    its thread, so under DPOR each racing prior is also handed to the
+    engine as a backtrack candidate ({!Dpor.backtrack}): a racing pair
+    is exactly a dependent, reorderable one, and the engine keeps no
+    data-location table of its own.
 
     Locations are identified physically: variable cells by the [ref]
     they live in, array elements by the array object and index.  That is
     exactly the identity the interpreter's tracer hands us, so aliasing
-    through pointers and captures is resolved for free. *)
+    through pointers and captures is resolved for free.  A traced array
+    gets a dense shadow, one slot per element, allocated when the
+    execution first traces that array. *)
 
 module Rt = Interp.Rt
 
 type evt = {
   tid : int;
   clk : int;
+  step : int;              (* DPOR decision index; -1 when sampled *)
   off : int;               (* byte offset in the preprocessed source *)
   op : string option;      (* compound-assignment operator, writes only *)
   rw : [ `R | `W ];
 }
 
-type entry = {
-  mutable w : evt option;
-  mutable reads : evt list;  (* latest read per thread since last write *)
-}
+(* A location's shadow, one slot per element (a single one for a cell):
+   the last write, [none] before the first, and the latest read per
+   thread since that write. *)
+type shadow = { w : evt array; reads : evt list array }
 
 type t = {
   src : Zr.Source.t;  (* preprocessed source, for positions/snippets *)
-  mutable cells : (Interp.Value.t ref * entry) list;
-  mutable fa : (float array * (int, entry) Hashtbl.t) list;
-  mutable ia : (int array * (int, entry) Hashtbl.t) list;
+  dpor : Dpor.exec option;  (* the controlling DPOR execution, if any *)
+  mutable cells : (Interp.Value.t ref * shadow) list;
+  mutable fa : (float array * shadow) list;
+  mutable ia : (int array * shadow) list;
   dedup : (string, unit) Hashtbl.t;
   mutable findings : Report.finding list;
 }
 
-let create ~src =
-  { src; cells = []; fa = []; ia = [];
+let create ~src ~dpor =
+  { src; dpor; cells = []; fa = []; ia = [];
     dedup = Hashtbl.create 16; findings = [] }
 
-let fresh_entry () = { w = None; reads = [] }
+(* Clock 0 of thread 0 is covered by every vector clock, so [none]
+   never races. *)
+let none = { tid = 0; clk = 0; step = -1; off = 0; op = None; rw = `W }
 
-let elem_entry h i =
-  match Hashtbl.find_opt h i with
-  | Some e -> e
-  | None ->
-      let e = fresh_entry () in
-      Hashtbl.add h i e;
-      e
+let fresh n = { w = Array.make n none; reads = Array.make n [] }
 
-let entry_of t (acc : Rt.access) : entry =
+(* The shadow of the accessed location, found by physical identity; a
+   location met for the first time gets a fresh one. *)
+let shadow_of t (acc : Rt.access) =
   match acc with
-  | Rt.Acell r ->
-      (match List.find_opt (fun (x, _) -> x == r) t.cells with
-       | Some (_, e) -> e
-       | None ->
-           let e = fresh_entry () in
-           t.cells <- (r, e) :: t.cells;
-           e)
-  | Rt.Afelem (a, i) ->
-      let h =
-        match List.find_opt (fun (x, _) -> x == a) t.fa with
-        | Some (_, h) -> h
-        | None ->
-            let h = Hashtbl.create 64 in
-            t.fa <- (a, h) :: t.fa;
-            h
-      in
-      elem_entry h i
-  | Rt.Aielem (a, i) ->
-      let h =
-        match List.find_opt (fun (x, _) -> x == a) t.ia with
-        | Some (_, h) -> h
-        | None ->
-            let h = Hashtbl.create 64 in
-            t.ia <- (a, h) :: t.ia;
-            h
-      in
-      elem_entry h i
+  | Rt.Acell r -> (
+      match List.assq r t.cells with
+      | s -> s
+      | exception Not_found ->
+          let s = fresh 1 in
+          t.cells <- (r, s) :: t.cells;
+          s)
+  | Rt.Afelem (a, _) -> (
+      match List.assq a t.fa with
+      | s -> s
+      | exception Not_found ->
+          let s = fresh (Array.length a) in
+          t.fa <- (a, s) :: t.fa;
+          s)
+  | Rt.Aielem (a, _) -> (
+      match List.assq a t.ia with
+      | s -> s
+      | exception Not_found ->
+          let s = fresh (Array.length a) in
+          t.ia <- (a, s) :: t.ia;
+          s)
 
 (* ---------------------------- rendering --------------------------- *)
 
@@ -141,26 +144,50 @@ let report t ~var ~(prior : evt) ~(cur : evt) =
 
 (* --------------------------- the check ---------------------------- *)
 
+(* [prior] races with [cur], an access by [gid] at clock [vc], unless
+   they share a thread or a happens-before edge orders them: report the
+   pair and, under DPOR, reorder it at [prior]'s decision. *)
+let check t ~hint ~gid ~vc ~cur (prior : evt) =
+  if prior.tid <> gid && not (Vc.covers vc ~tid:prior.tid ~clk:prior.clk)
+  then begin
+    report t ~var:hint ~prior ~cur;
+    match t.dpor with
+    | Some ex -> Dpor.backtrack ex ~step:prior.step ~gid
+    | None -> ()
+  end
+
+let rec check_all t ~hint ~gid ~vc ~cur = function
+  | [] -> ()
+  | r :: rest ->
+      check t ~hint ~gid ~vc ~cur r;
+      check_all t ~hint ~gid ~vc ~cur rest
+
+(* [reads] without [gid]'s read (there is at most one). *)
+let rec drop_tid gid = function
+  | [] -> []
+  | r :: rest -> if r.tid = gid then rest else r :: drop_tid gid rest
+
 let access t ~rw (acc : Rt.access) ~off ~hint ~gid ~(vc : Vc.t)
     ~(op : string option) =
-  let e = entry_of t acc in
+  let s = shadow_of t acc in
+  let i =
+    match acc with Rt.Acell _ -> 0 | Rt.Afelem (_, i) | Rt.Aielem (_, i) -> i
+  in
+  let step =
+    match t.dpor with
+    | Some ex -> Dpor.data_step ex ~gid ~vc ~rw
+    | None -> -1
+  in
   let cur =
-    { tid = gid; clk = Vc.get vc gid; off;
+    { tid = gid; clk = Vc.get vc gid; step; off;
       op = (if rw = `W then op else None); rw }
   in
-  let conflicts (prior : evt) =
-    prior.tid <> gid && not (Vc.covers vc ~tid:prior.tid ~clk:prior.clk)
-  in
-  (match e.w with
-   | Some w when conflicts w -> report t ~var:hint ~prior:w ~cur
-   | _ -> ());
+  check t ~hint ~gid ~vc ~cur s.w.(i);
   match rw with
-  | `R -> e.reads <- cur :: List.filter (fun r -> r.tid <> gid) e.reads
+  | `R -> s.reads.(i) <- cur :: drop_tid gid s.reads.(i)
   | `W ->
-      List.iter
-        (fun r -> if conflicts r then report t ~var:hint ~prior:r ~cur)
-        e.reads;
-      e.w <- Some cur;
-      e.reads <- []
+      check_all t ~hint ~gid ~vc ~cur s.reads.(i);
+      s.w.(i) <- cur;
+      s.reads.(i) <- []
 
 let findings t = t.findings

@@ -49,6 +49,7 @@ type team = {
   mutable task_live : int;
   mutable task_finals : Vc.t list;
   mutable task_waiters : Des.wake list;
+      (* region ends waiting for [task_live] to reach zero *)
 }
 
 and frame = {
@@ -57,15 +58,19 @@ and frame = {
   icvs : Omprt.Icv.t;           (* this implicit task's data environment *)
   mutable single_seen : int;    (* singles this thread has met *)
   mutable loop_epoch : int;     (* dispatch loops this thread has met *)
-  mutable task_children : Vc.t option ref list;
-      (* direct child tasks: the cell fills with the child's final
-         clock on completion; [taskwait] drains and joins them *)
+  mutable children_live : int;  (* direct child tasks not yet complete *)
+  mutable children_finals : Vc.t list;
+      (* final clocks of the direct children completed since the last
+         [taskwait], which joins and drops them *)
+  mutable taskwait : Des.wake option;
+      (* this frame's suspended [taskwait], woken by the completion of
+         its last outstanding child *)
 }
 
 and tstate = {
   gid : int;                    (* virtual-thread id = clock index *)
   vc : Vc.t;
-  base_icvs : Omprt.Icv.t;      (* the frame outside any region *)
+  mutable base_icvs : Omprt.Icv.t;  (* the frame outside any region *)
   mutable frames : frame list;  (* innermost region first *)
 }
 
@@ -79,7 +84,7 @@ type session = {
   rng : Random.State.t option;
   race : Race.t;
   mutable findings : Report.finding list;
-  threads : (int, tstate) Hashtbl.t;         (* vthread id -> state *)
+  mutable threads : tstate option array;     (* by vthread id *)
   locks : (string, Des.Smutex.t * Vc.t) Hashtbl.t;  (* criticals *)
   atomic_lock : Des.Smutex.t * Vc.t;         (* __kmpc_atomic_begin/end *)
   mutable af : (Omprt.Atomics.Float.t * Vc.t) list;
@@ -91,9 +96,24 @@ type session = {
   output : Buffer.t;            (* captured [print] output *)
 }
 
+let new_frame ?(single_seen = 0) ?(loop_epoch = 0) team ~tid icvs =
+  { team; tid; icvs; single_seen; loop_epoch;
+    children_live = 0; children_finals = []; taskwait = None }
+
+let register sess ts =
+  let n = Array.length sess.threads in
+  if ts.gid >= n then begin
+    let a = Array.make (max 16 (2 * ts.gid)) None in
+    Array.blit sess.threads 0 a 0 n;
+    sess.threads <- a
+  end;
+  sess.threads.(ts.gid) <- Some ts
+
 let cur_tstate sess =
   match sess.des.Des.current with
-  | Some vt -> Hashtbl.find_opt sess.threads vt.Des.id
+  | Some vt ->
+      if vt.Des.id < Array.length sess.threads then sess.threads.(vt.Des.id)
+      else None
   | None -> None
 
 (* (team size, tid, frame) for the current thread; a thread outside any
@@ -158,14 +178,8 @@ let on_trace sess ~rw acc ~off ~hint =
   | None -> ()
   | Some ts ->
       pause sess ts;
-      (let obj =
-         match acc with
-         | Rt.Acell r -> Dpor.Ocell r
-         | Rt.Afelem (a, i) -> Dpor.Ofelem (a, i)
-         | Rt.Aielem (a, i) -> Dpor.Oielem (a, i)
-       in
-       note sess ts ~obj
-         ~kind:(match rw with `R -> Dpor.Kread | `W -> Dpor.Kwrite));
+      (* the detector's table is DPOR's too: racing priors become
+         backtrack candidates there *)
       Race.access sess.race ~rw acc ~off ~hint ~gid:ts.gid ~vc:ts.vc ~op
 
 (* --------------------------- barriers ----------------------------- *)
@@ -289,11 +303,8 @@ let fork sess parent ~call ~f ~fp ~sh ~red ~requested =
             base_icvs = Omprt.Icv.copy pframe; frames = [] }
         in
         Vc.tick child.vc child.gid;
-        Hashtbl.replace sess.threads child.gid child;
-        let fr =
-          { team; tid; icvs = Omprt.Icv.copy pframe;
-            single_seen = 0; loop_epoch = 0; task_children = [] }
-        in
+        register sess child;
+        let fr = new_frame team ~tid (Omprt.Icv.copy pframe) in
         child.frames <- fr :: child.frames;
         ignore (call f [ fp; sh; red ]);
         child.frames <- List.tl child.frames;
@@ -311,10 +322,7 @@ let fork sess parent ~call ~f ~fp ~sh ~red ~requested =
   Vc.tick parent.vc parent.gid;
   (* the encountering thread is thread 0 of the team, run in place so
      threadprivate state persists across regions as OpenMP requires *)
-  let fr0 =
-    { team; tid = 0; icvs = Omprt.Icv.copy pframe;
-      single_seen = 0; loop_epoch = 0; task_children = [] }
-  in
+  let fr0 = new_frame team ~tid:0 (Omprt.Icv.copy pframe) in
   parent.frames <- fr0 :: parent.frames;
   ignore (call f [ fp; sh; red ]);
   parent.frames <- List.tl parent.frames;
@@ -520,8 +528,7 @@ let on_builtin sess ~call fname args : V.t option =
                 pause sess ts;
                 Vc.tick ts.vc ts.gid;
                 let cvc = Vc.copy ts.vc in
-                let cell = ref None in
-                fr.task_children <- cell :: fr.task_children;
+                fr.children_live <- fr.children_live + 1;
                 team.task_live <- team.task_live + 1;
                 let ticvs = Omprt.Icv.copy fr.icvs in
                 Des.spawn sess.des (fun () ->
@@ -531,72 +538,71 @@ let on_builtin sess ~call fname args : V.t option =
                         frames = [] }
                     in
                     Vc.tick child.vc child.gid;
-                    Hashtbl.replace sess.threads child.gid child;
-                    let cfr =
-                      { team; tid = fr.tid; icvs = ticvs;
-                        single_seen = 0; loop_epoch = 0;
-                        task_children = [] }
-                    in
+                    register sess child;
+                    let cfr = new_frame team ~tid:fr.tid ticvs in
                     child.frames <- [ cfr ];
                     ignore (call f [ fp; sh ]);
-                    (* completion: fill the creator's child cell,
-                       publish the final clock, and reopen any gate
-                       this was the last outstanding task of *)
+                    (* completion: publish the final clock to the
+                       creator and the team, and reopen the gates this
+                       was the last outstanding task of — the creator's
+                       taskwait, then the team's region end and
+                       barrier *)
                     let final = Vc.copy child.vc in
-                    cell := Some final;
+                    fr.children_live <- fr.children_live - 1;
+                    fr.children_finals <- final :: fr.children_finals;
                     team.task_live <- team.task_live - 1;
                     team.task_finals <- final :: team.task_finals;
                     let at = Des.now sess.des in
                     if at > team.bar_max then team.bar_max <- at;
-                    let ws = team.task_waiters in
-                    team.task_waiters <- [];
-                    List.iter (fun wake -> wake ~at) ws;
-                    if team.task_live = 0
-                       && team.bar_blocked <> []
-                       && List.length team.bar_blocked + team.done_members
-                          >= team.size
-                    then release_barrier sess team);
+                    (match fr.taskwait with
+                     | Some wake when fr.children_live = 0 ->
+                         fr.taskwait <- None;
+                         wake ~at
+                     | _ -> ());
+                    if team.task_live = 0 then begin
+                      let ws = team.task_waiters in
+                      team.task_waiters <- [];
+                      List.iter (fun wake -> wake ~at) ws;
+                      if team.bar_blocked <> []
+                         && List.length team.bar_blocked + team.done_members
+                            >= team.size
+                      then release_barrier sess team
+                    end);
                 (* separate the creator's later events from the spawn *)
                 Vc.tick ts.vc ts.gid
             | fr :: _ ->
                 (* serialised team: undeferred, in its own ICV frame *)
                 let cfr =
-                  { team = fr.team; tid = fr.tid;
-                    icvs = Omprt.Icv.copy fr.icvs;
-                    single_seen = fr.single_seen;
-                    loop_epoch = fr.loop_epoch; task_children = [] }
+                  new_frame ~single_seen:fr.single_seen
+                    ~loop_epoch:fr.loop_epoch fr.team ~tid:fr.tid
+                    (Omprt.Icv.copy fr.icvs)
                 in
                 ts.frames <- cfr :: ts.frames;
                 Fun.protect
                   ~finally:(fun () -> ts.frames <- List.tl ts.frames)
                   (fun () -> ignore (call f [ fp; sh ]))
-            | [] -> ignore (call f [ fp; sh ]));
+            | [] ->
+                (* outside any region: undeferred, on its own copy of
+                   the initial task's frame, as
+                   {!Omprt.Team.run_orphan_task} runs it *)
+                let saved = ts.base_icvs in
+                ts.base_icvs <- Omprt.Icv.copy saved;
+                Fun.protect
+                  ~finally:(fun () -> ts.base_icvs <- saved)
+                  (fun () -> ignore (call f [ fp; sh ])));
            Some V.VUnit
        | "__kmpc_omp_taskwait", [] ->
            (match ts.frames with
             | fr :: _ ->
                 pause sess ts;
-                let rec wait () =
-                  if List.for_all (fun c -> !c <> None) fr.task_children
-                  then begin
-                    (* child bodies happen-before taskwait return *)
-                    List.iter
-                      (fun c ->
-                        match !c with
-                        | Some fvc -> Vc.join ts.vc fvc
-                        | None -> ())
-                      fr.task_children;
-                    fr.task_children <- [];
-                    Vc.tick ts.vc ts.gid
-                  end
-                  else begin
-                    Des.suspend sess.des (fun wake ->
-                        fr.team.task_waiters <-
-                          wake :: fr.team.task_waiters);
-                    wait ()
-                  end
-                in
-                wait ()
+                (* only the last outstanding child's completion wakes
+                   this frame's waiter *)
+                if fr.children_live > 0 then
+                  Des.suspend sess.des (fun wake -> fr.taskwait <- Some wake);
+                (* child bodies happen-before taskwait return *)
+                List.iter (fun fvc -> Vc.join ts.vc fvc) fr.children_finals;
+                fr.children_finals <- [];
+                Vc.tick ts.vc ts.gid
             | [] -> Vc.tick ts.vc ts.gid);
            Some V.VUnit
        | "__kmpc_copyprivate_put", [ v ] ->
@@ -745,8 +751,8 @@ let run_session ~name ~(load : unit -> Interp.program)
         (match mode with
          | Seeded s -> Some (Random.State.make [| s; 0x5eed |])
          | _ -> None);
-      race = Race.create ~src;
-      findings = []; threads = Hashtbl.create 16;
+      race = Race.create ~src ~dpor:ctl;
+      findings = []; threads = [||];
       locks = Hashtbl.create 8;
       atomic_lock = (Des.Smutex.create des, Vc.create ());
       af = []; ai = []; cp_slots = Hashtbl.create 8; orphan_cp = None;
@@ -782,7 +788,7 @@ let run_session ~name ~(load : unit -> Interp.program)
               base_icvs = sess.initial_icvs; frames = [] }
           in
           Vc.tick ts.vc ts.gid;
-          Hashtbl.replace sess.threads ts.gid ts;
+          register sess ts;
           run prog);
       (try ignore (Des.run des) with
        | Des.Deadlock msg ->

@@ -339,8 +339,7 @@ and exec env node : unit =
       let v = if n.rhs = 0 then Value.VUndef else eval env n.rhs in
       declare env name v
   | Ast.Assign ->
-      let _, write = eval_lvalue env n.lhs in
-      let read, _ = eval_lvalue env n.lhs in
+      let read, write = eval_lvalue env n.lhs in
       let rhs = eval env n.rhs in
       (* Tag the write of a compound assignment with its operator for
          the checker's clause suggestions; the tag must not outlive the

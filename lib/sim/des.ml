@@ -6,7 +6,9 @@
     some other thread wakes it (barriers, mutexes).  The scheduler always
     resumes the runnable thread with the smallest clock (ties broken by
     spawn order), so every interaction with shared state happens in
-    global time order and the whole simulation is deterministic.
+    global time order and the whole simulation is deterministic.  In
+    controlled mode ({!set_decide}) a hook picks the thread instead, at
+    the same scheduling points.
 
     This is the substrate the simulated OpenMP runtime ({!module:Simrt})
     runs on; up to 128 virtual threads model the ARCHER2 node's cores on
@@ -26,42 +28,52 @@ type vthread = {
 }
 
 type t = {
-  runq : entry Heap.t;
-  mutable threads : vthread list;  (* newest first *)
+  runq : (unit -> unit) Heap.t;  (* min-clock mode: runnable steps *)
   mutable current : vthread option;
   mutable spawned : int;
   mutable finished : int;
   mutable horizon : float;  (* max clock observed at completion points *)
   mutable decide : (int list -> int) option;
       (* controlled mode: pick the next thread from the runnable set *)
+  (* Controlled mode keeps the runnable set itself instead of the heap:
+     [runnable] holds the sorted ids of every thread that is neither
+     suspended nor finished, the running one included, and is replaced
+     only at spawn, suspend, wake and finish — so consecutive decisions
+     are offered the same list.  [steps] holds each parked thread's
+     next step by id; [chosen] is a switch already decided at an
+     {!advance}, for {!pop_next} to take (-1 when none). *)
+  mutable runnable : int list;
+  mutable steps : (unit -> unit) array;
+  mutable chosen : int;
 }
-
-(* Runqueue entries carry the virtual-thread id so a controlled
-   scheduler can be offered the runnable set by identity. *)
-and entry = { eid : int; estep : unit -> unit }
 
 exception Deadlock of string
 
 let create () = {
   runq = Heap.create ();
-  threads = [];
   current = None;
   spawned = 0;
   finished = 0;
   horizon = 0.;
   decide = None;
+  runnable = [];
+  steps = [||];
+  chosen = -1;
 }
 
 (** [set_decide t f] — switch the scheduler into controlled mode: at
     every scheduling point [f] receives the sorted ids of the runnable
     virtual threads and returns the one to resume, overriding the
-    min-clock rule.  A thread is runnable iff it is neither running nor
-    suspended on a {!Suspend} registration.  Used by the DPOR model
+    min-clock rule.  A thread is runnable iff it is neither suspended on
+    a {!Suspend} registration nor finished; the set includes the running
+    thread when it reaches an {!advance} (it may keep running) and
+    excludes it when it suspends or finishes.  Used by the DPOR model
     checker to force and replay interleavings; everything else about
-    the simulation (spawning, suspension, wake-ups) is unchanged. *)
-let set_decide t f = t.decide <- Some f
-
-let clear_decide t = t.decide <- None
+    the simulation (spawning, suspension, wake-ups, clocks) is
+    unchanged.  Must be called before the first {!spawn}. *)
+let set_decide t f =
+  if t.spawned > 0 then invalid_arg "Des.set_decide: threads already spawned";
+  t.decide <- Some f
 
 let self t =
   match t.current with
@@ -70,6 +82,35 @@ let self t =
 
 let now t = (self t).clock
 
+let idle () = ()
+
+let rec insert id = function
+  | x :: rest when x < id -> x :: insert id rest
+  | l -> id :: l
+
+(* [step] is [vt]'s next step, to be run when the scheduler picks it:
+   queued by clock in min-clock mode, parked by id in controlled mode. *)
+let park t vt step =
+  match t.decide with
+  | None -> Heap.push t.runq vt.clock step
+  | Some _ ->
+      if vt.id >= Array.length t.steps then begin
+        let a = Array.make (max 8 (2 * vt.id)) idle in
+        Array.blit t.steps 0 a 0 (Array.length t.steps);
+        t.steps <- a
+      end;
+      t.steps.(vt.id) <- step
+
+(* [vt], new or woken, becomes runnable with [step] as its next step. *)
+let ready t vt step =
+  park t vt step;
+  if t.decide <> None then t.runnable <- insert vt.id t.runnable
+
+(* [vt] stops being runnable (controlled mode). *)
+let unready t vt =
+  if t.decide <> None then
+    t.runnable <- List.filter (fun id -> id <> vt.id) t.runnable
+
 (* Run [step] (a fresh thread body) as [vt], handling its effects.  Every
    handler case re-enqueues or parks the continuation and returns control
    to the main loop; deep handlers persist, so later effects performed by
@@ -77,35 +118,34 @@ let now t = (self t).clock
 let exec t vt (step : unit -> unit) =
   t.current <- Some vt;
   let open Effect.Deep in
+  let resume k () =
+    t.current <- Some vt;
+    continue k ()
+  in
   match_with step ()
     { retc = (fun () ->
           vt.done_ <- true;
           t.finished <- t.finished + 1;
-          if vt.clock > t.horizon then t.horizon <- vt.clock);
+          if vt.clock > t.horizon then t.horizon <- vt.clock;
+          unready t vt);
       exnc = (fun e -> raise e);
       effc = (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Advance dt ->
+              (* the thread stays runnable *)
               Some (fun (k : (a, unit) continuation) ->
                   vt.clock <- vt.clock +. dt;
-                  Heap.push t.runq vt.clock
-                    { eid = vt.id;
-                      estep = (fun () ->
-                          t.current <- Some vt;
-                          continue k ()) })
+                  park t vt (resume k))
           | Suspend register ->
               Some (fun (k : (a, unit) continuation) ->
+                  unready t vt;
                   let woken = ref false in
                   register (fun ~at ->
                       if !woken then
                         invalid_arg "Des: thread woken twice";
                       woken := true;
                       if at > vt.clock then vt.clock <- at;
-                      Heap.push t.runq vt.clock
-                        { eid = vt.id;
-                          estep = (fun () ->
-                              t.current <- Some vt;
-                              continue k ()) }))
+                      ready t vt (resume k)))
           | _ -> None) }
 
 (** [spawn t ?at body] — create a virtual thread whose clock starts at
@@ -119,51 +159,27 @@ let spawn t ?at body =
   in
   let vt = { id = t.spawned; clock = start; done_ = false } in
   t.spawned <- t.spawned + 1;
-  t.threads <- vt :: t.threads;
-  Heap.push t.runq start { eid = vt.id; estep = (fun () -> exec t vt body) }
+  ready t vt (fun () -> exec t vt body)
 
 (* The next step to run: min-clock order normally; in controlled mode
-   the decide hook picks among the runnable ids (a thread has at most
-   one queued entry, so the offered ids are distinct). *)
+   the thread a switching {!advance} chose, else the decide hook's pick
+   among the runnable ids. *)
 let pop_next t =
   match t.decide with
-  | None ->
-      (match Heap.pop t.runq with
-       | Some (_, e) -> Some e.estep
-       | None -> None)
+  | None -> Option.map snd (Heap.pop t.runq)
   | Some decide ->
-      if Heap.is_empty t.runq then None
+      if t.runnable = [] then None
       else begin
-        let entries = ref [] in
-        let rec drain () =
-          match Heap.pop t.runq with
-          | Some (clk, e) ->
-              entries := (clk, e) :: !entries;
-              drain ()
-          | None -> ()
-        in
-        drain ();
-        let entries = List.rev !entries in
-        let ids =
-          List.sort compare (List.map (fun (_, e) -> e.eid) entries)
-        in
-        let chosen = decide ids in
-        let rest, found =
-          List.fold_left
-            (fun (rest, found) (clk, e) ->
-              if found = None && e.eid = chosen then (rest, Some e)
-              else ((clk, e) :: rest, found))
-            ([], None) entries
-        in
-        match found with
-        | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "Des: scheduling decision chose thread %d, which is \
-                  not runnable" chosen)
-        | Some e ->
-            List.iter (fun (clk, e) -> Heap.push t.runq clk e) (List.rev rest);
-            Some e.estep
+        let chosen = if t.chosen >= 0 then t.chosen else decide t.runnable in
+        t.chosen <- -1;
+        if not (List.mem chosen t.runnable) then
+          invalid_arg
+            (Printf.sprintf
+               "Des: scheduling decision chose thread %d, which is not \
+                runnable" chosen);
+        let step = t.steps.(chosen) in
+        t.steps.(chosen) <- idle;
+        Some step
       end
 
 (** Drive the simulation until every spawned thread has finished.
@@ -187,9 +203,23 @@ let run t =
 (* ------------------------------------------------------------------ *)
 (* Primitives for code running inside a virtual thread.                *)
 
-let advance _t dt = if dt > 0. then Effect.perform (Advance dt)
-
-let yield _t = Effect.perform (Advance 0.)
+(* A scheduling point of the running thread after charging [dt] > 0:
+   the min-clock rule requeues it; in controlled mode the decide hook
+   runs here, in place, and only a switch to another thread performs
+   the effect (charging nothing more), leaving the choice to
+   {!pop_next}. *)
+let advance t dt =
+  if dt > 0. then
+    match t.decide with
+    | None -> Effect.perform (Advance dt)
+    | Some decide ->
+        let vt = self t in
+        vt.clock <- vt.clock +. dt;
+        let chosen = decide t.runnable in
+        if chosen <> vt.id then begin
+          t.chosen <- chosen;
+          Effect.perform (Advance 0.)
+        end
 
 let suspend _t register = Effect.perform (Suspend register)
 

@@ -440,6 +440,125 @@ let test_corpus_no_static_subset () =
         se.Corpus.report.Report.findings)
     st.Corpus.entries dyn.Corpus.entries
 
+(* ---- checker task model and shadow state ------------------------- *)
+
+let dynamic_only ?(nthreads = 2) name src =
+  let cfg =
+    { (dpor_config ~nthreads ~max_execs:16 ()) with Checker.lint = false }
+  in
+  Zigomp.check ~name ~config:cfg src
+
+(* A task created outside any region runs on its own copy of the
+   initial task's ICV frame, as in execution: its set_num_threads(1)
+   must not shrink the next region's team, whose update races. *)
+let test_orphan_task_own_frame () =
+  let r =
+    dynamic_only ~nthreads:4 "orphan_task.zr"
+      {|
+fn main() i64 {
+    var r: i64 = 0;
+    //$omp task
+    { omp.set_num_threads(1); }
+    //$omp parallel shared(r)
+    { r += 1; }
+    return r;
+}
+|}
+  in
+  Alcotest.(check (list string)) "the dynamic pass alone finds the race"
+    [ "race|r" ] (race_ids r)
+
+(* Each taskwait is woken by the completion of its own last child, not
+   by every completion in the team: one execution of task fib(12)
+   takes a few scheduling decisions per task. *)
+let test_taskwait_decisions () =
+  let n = 12 in
+  let name = "task_fib.zr" in
+  let src =
+    Printf.sprintf
+      {|
+fn fib(n: i64) i64 {
+    if (n < 2) { return n; }
+    var a: i64 = 0;
+    var b: i64 = 0;
+    //$omp task shared(a) firstprivate(n)
+    { a = fib(n - 1); }
+    //$omp task shared(b) firstprivate(n)
+    { b = fib(n - 2); }
+    //$omp taskwait
+    return a + b;
+}
+
+fn main() i64 {
+    var r: i64 = 0;
+    //$omp parallel
+    {
+        //$omp single
+        { r = fib(%d); }
+    }
+    return r;
+}
+|}
+      n
+  in
+  let pre = Preproc.Preprocess.run ~name src in
+  let load () = Interp.load ~name ~preprocess:false pre in
+  let run prog = ignore (Interp.run_main prog) in
+  let findings, stats =
+    Checker.Dpor.explore ~max_execs:1 ~preempt_bound:2 ~run_one:(fun ex ->
+        fst (Checker.Sched.run_controlled ~name ~load ~run ~nthreads:4 ~ex ()))
+  in
+  let rec tasks n = if n < 2 then 0 else 2 + tasks (n - 1) + tasks (n - 2) in
+  Alcotest.(check (list string)) "no findings" []
+    (List.map (fun (f : Report.finding) -> f.Report.id) findings);
+  Alcotest.(check int) "one execution" 1 stats.Checker.Dpor.executions;
+  let decisions = stats.Checker.Dpor.decisions in
+  let per_task = float_of_int decisions /. float_of_int (tasks n) in
+  if per_task > 8. then
+    Alcotest.failf "%d decisions for %d tasks: %.1f per task, over 8"
+      decisions (tasks n) per_task
+
+(* Dense shadows: the last element of an int and of a float array is
+   traced like any other, and two arrays of the same length and
+   contents never share a shadow. *)
+let test_array_shadows () =
+  let racy =
+    dynamic_only "last_element.zr"
+      {|
+fn main() i64 {
+    var a = alloc_i64(8);
+    var f = alloc_f64(8);
+    //$omp parallel shared(a, f)
+    {
+        a[7] += 1;
+        f[7] += 1.0;
+    }
+    return a[7];
+}
+|}
+  in
+  Alcotest.(check (list string)) "races on both last elements"
+    [ "race|a"; "race|f" ] (race_ids racy);
+  let clean =
+    dynamic_only "twin_arrays.zr"
+      {|
+fn main() i64 {
+    var a = alloc_i64(8);
+    var b = alloc_i64(8);
+    var f = alloc_f64(8);
+    var g = alloc_f64(8);
+    //$omp parallel shared(a, b, f, g)
+    {
+        if (omp.get_thread_num() == 0) { a[7] = 1; f[7] = 1.0; }
+        else { b[7] = 2; g[7] = 2.0; }
+    }
+    return a[7] + b[7];
+}
+|}
+  in
+  Alcotest.(check (list string)) "same-length arrays keep separate shadows"
+    [] (lines_of clean)
+
 (* --preempt-bound alongside --sampled: the CLI must diagnose the
    no-effect combination instead of silently dropping the bound. *)
 let test_sampled_bound_warning () =
@@ -496,4 +615,10 @@ let suite =
       `Slow test_corpus_no_static_subset;
     Alcotest.test_case "sampled + preempt-bound warns" `Quick
       test_sampled_bound_warning;
+    Alcotest.test_case "task outside any region owns its ICVs" `Quick
+      test_orphan_task_own_frame;
+    Alcotest.test_case "taskwait wakes only on its last child" `Quick
+      test_taskwait_decisions;
+    Alcotest.test_case "array shadows: last element, distinct arrays"
+      `Quick test_array_shadows;
   ]

@@ -148,6 +148,58 @@ let test_des_deterministic () =
   Alcotest.(check (float 0.)) "same makespan" m1 m2;
   Alcotest.(check bool) "identical event traces" true (t1 = t2)
 
+(* ---- controlled DES ---- *)
+
+(* Controlled mode, one scheduling point of each kind: the start, a
+   switch chosen at an advance, a suspension, a wake-up followed by an
+   advance that keeps the running thread, and two finishes.  The hook
+   runs once per point and is offered the sorted ids of the threads
+   that are neither suspended nor finished, the running one included. *)
+let test_des_controlled () =
+  let des = Sim.Des.create () in
+  let offered = ref [] and picks = ref [ 0; 1; 2; 2; 0; 1 ] in
+  Sim.Des.set_decide des (fun ids ->
+      offered := ids :: !offered;
+      match !picks with
+      | p :: rest -> picks := rest; p
+      | [] -> Alcotest.fail "more scheduling points than expected");
+  let log = ref [] in
+  let note s = log := (s, Sim.Des.now des) :: !log in
+  let wake1 = ref None in
+  Sim.Des.spawn des (fun () ->
+      Sim.Des.spawn des (fun () ->
+          note "1 starts";
+          Sim.Des.suspend des (fun w -> wake1 := Some w);
+          note "1 woken");
+      Sim.Des.spawn des (fun () ->
+          note "2 starts";
+          (match !wake1 with Some w -> w ~at:5.0 | None -> ());
+          Sim.Des.advance des 1.0;
+          note "2 kept running");
+      Sim.Des.advance des 1.0;
+      note "0 resumed");
+  ignore (Sim.Des.run des);
+  Alcotest.(check (list (list int))) "one decision per point, sorted sets"
+    [ [ 0 ]; [ 0; 1; 2 ]; [ 0; 2 ]; [ 0; 1; 2 ]; [ 0; 1 ]; [ 1 ] ]
+    (List.rev !offered);
+  Alcotest.(check (list (pair string (float 0.))))
+    "the chosen thread runs next, with unchanged clocks"
+    [ ("1 starts", 0.); ("2 starts", 0.); ("2 kept running", 1.);
+      ("0 resumed", 1.); ("1 woken", 5.) ]
+    (List.rev !log)
+
+let test_des_controlled_misuse () =
+  let des = Sim.Des.create () in
+  Sim.Des.spawn des (fun () -> ());
+  Alcotest.(check bool) "set_decide after a spawn is refused" true
+    (try Sim.Des.set_decide des List.hd; false
+     with Invalid_argument _ -> true);
+  let des = Sim.Des.create () in
+  Sim.Des.set_decide des (fun _ -> 7);
+  Sim.Des.spawn des (fun () -> ());
+  Alcotest.(check bool) "choosing a thread that is not runnable fails" true
+    (try ignore (Sim.Des.run des); false with Invalid_argument _ -> true)
+
 (* ---- perfmodel ---- *)
 
 let m = Sim.Machine.archer2
@@ -226,6 +278,9 @@ let suite =
     Alcotest.test_case "DES deadlock detection" `Quick
       test_des_deadlock_detected;
     Alcotest.test_case "DES determinism" `Quick test_des_deterministic;
+    Alcotest.test_case "DES controlled decisions" `Quick test_des_controlled;
+    Alcotest.test_case "DES controlled misuse" `Quick
+      test_des_controlled_misuse;
     Alcotest.test_case "roofline compute bound" `Quick
       test_roofline_compute_bound;
     Alcotest.test_case "roofline memory scaling" `Quick

@@ -178,6 +178,42 @@ fn main() i64 {
 }
 |})
 
+(* An assignment evaluates its target once: a call in the index or in
+   the pointer expression runs once, for [=] and [+=] alike. *)
+let test_assign_target_once () =
+  let case stmt ~want =
+    check_tiers stmt ~want:(Ok (V.VInt want))
+      (tiers ~fname:"main" ~args:(fun () -> [])
+         (Printf.sprintf
+            {|
+var counter: i64 = 0;
+
+fn bump() i64 {
+    counter += 1;
+    return counter - 1;
+}
+
+fn via(p: anytype) anytype {
+    counter += 1;
+    return p;
+}
+
+fn main() i64 {
+    counter = 0;
+    var a = alloc_i64(4);
+    var x: i64 = 3;
+    %s
+    return counter * 1000 + a[0] * 100 + a[1] * 10 + x;
+}
+|}
+            stmt))
+  in
+  case "a[bump()] = 5;" ~want:1503;
+  case "a[bump()] += 1;" ~want:1103;
+  case "a[bump()] = 5; a[bump()] += 1;" ~want:2513;
+  case "via(&x).* = 7;" ~want:1007;
+  case "via(&x).* += 1;" ~want:1004
+
 (* Hand-written task creations that differ from the outliner's shape
    in one respect each, so the compiler must take the generic path;
    every tier gives the same answer or the same error. *)
@@ -248,4 +284,6 @@ let suite =
     Alcotest.test_case "tasks in main own their ICVs on every tier" `Quick
       test_orphan_task_icvs;
     Alcotest.test_case "non-outliner task shapes agree on every tier" `Quick
-      test_task_shapes_take_generic_path ]
+      test_task_shapes_take_generic_path;
+    Alcotest.test_case "assignment targets evaluate once on every tier"
+      `Quick test_assign_target_once ]

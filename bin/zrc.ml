@@ -129,12 +129,9 @@ let preprocess_cmd =
     handle_errors (fun () ->
         let source = read_file file in
         if dump_transformed then
+          let module P = Zigomp.Preprocessor in
           print_string
-            (match
-               Zigomp.Preprocessor.Transform.run ~name:file source
-             with
-             | Some transformed -> transformed
-             | None -> source)
+            (P.Preprocess.fixpoint (P.Transform.run ~name:file) source)
         else print_string (Zigomp.preprocess ~name:file source))
   in
   Cmd.v

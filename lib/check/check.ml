@@ -106,14 +106,14 @@ let default_none_id msg =
 
 (* The dynamic pass: findings, number of executions, and how the
    interleaving space was explored (for the report's verdict). *)
-let dynamic ~name ~config ~load ~run =
+let dynamic ~config ~load ~run =
   match config.exploration with
   | Sampled ->
       let ms = modes config in
       ( List.concat_map
           (fun mode ->
             fst
-              (Sched.run_schedule ~name ~load ~run ~mode
+              (Sched.run_schedule ~load ~run ~mode
                  ~nthreads:config.nthreads ()))
           ms,
         List.length ms,
@@ -121,7 +121,7 @@ let dynamic ~name ~config ~load ~run =
   | Dpor { max_execs; preempt_bound } ->
       let run_one ex =
         fst
-          (Sched.run_controlled ~name ~load ~run
+          (Sched.run_controlled ~load ~run
              ~nthreads:config.nthreads ~ex ())
       in
       let findings, stats = Dpor.explore ~max_execs ~preempt_bound ~run_one in
@@ -141,7 +141,7 @@ let check_source ?(name = "<input>") ?(config = default_config) src :
   | exception Zr.Source.Error msg ->
       Report.make ~name ~schedules:0 [ Report.error ~detail:msg ]
   | lints -> (
-      match Preproc.Preprocess.run ~name src with
+      match Interp.parse ~name src with
       | exception Zr.Source.Error msg ->
           let f =
             if contains msg "default(none)" then
@@ -150,13 +150,13 @@ let check_source ?(name = "<input>") ?(config = default_config) src :
             else Report.error ~detail:msg
           in
           Report.make ~name ~schedules:0 (f :: lints)
-      | pre ->
-          let load () = Interp.load ~name ~preprocess:false pre in
+      | ast ->
+          let load () = Interp.of_ast ast in
           if not (Hashtbl.mem (load ()).Interp.fns "main") then
             Report.make ~name ~schedules:0 lints
           else
             let run prog = ignore (Interp.run_main prog) in
-            let dyn, k, expl = dynamic ~name ~config ~load ~run in
+            let dyn, k, expl = dynamic ~config ~load ~run in
             Report.make ~name ~schedules:k ~exploration:expl (lints @ dyn))
 
 (** Check a program driven by a host entry point instead of [main] —
@@ -170,10 +170,10 @@ let check_run ?(name = "<zr>") ?(config = default_config) ~source
       try Lint.run ~name source with Zr.Source.Error _ -> []
     else []
   in
-  match Preproc.Preprocess.run ~name source with
+  match Interp.parse ~name source with
   | exception Zr.Source.Error msg ->
       Report.make ~name ~schedules:0 [ Report.error ~detail:msg ]
-  | pre ->
-      let load () = Interp.load ~name ~preprocess:false pre in
-      let dyn, k, expl = dynamic ~name ~config ~load ~run:entry in
+  | ast ->
+      let load () = Interp.of_ast ast in
+      let dyn, k, expl = dynamic ~config ~load ~run:entry in
       Report.make ~name ~schedules:k ~exploration:expl (lints @ dyn)

@@ -734,12 +734,12 @@ let on_omp sess meth args : V.t option =
    the checker is single-domain by construction.  With [ctl] the DES
    runs in controlled mode: the DPOR execution decides every
    scheduling point instead of the min-clock rule. *)
-let run_session ~name ~(load : unit -> Interp.program)
+let run_session ~(load : unit -> Interp.program)
     ~(run : Interp.program -> unit) ~mode ~nthreads ~ctl () :
     Report.finding list * string =
   let prog = load () in
   let des = Des.create () in
-  let src = Zr.Source.of_string ~name prog.Interp.preprocessed in
+  let src = prog.Interp.ast.Zr.Ast.source in
   (* The virtual initial task inherits the real process ICVs (so the
      checker agrees with execution on max_active_levels, thread_limit,
      schedule...), with the configured team size as its nthreads-var. *)
@@ -803,11 +803,11 @@ let run_session ~name ~(load : unit -> Interp.program)
   (Race.findings sess.race @ sess.findings, Buffer.contents sess.output)
 
 (** Run one sampled schedule (the legacy 7-schedule mode). *)
-let run_schedule ~name ~load ~run ~mode ~nthreads () =
-  run_session ~name ~load ~run ~mode ~nthreads ~ctl:None ()
+let run_schedule ~load ~run ~mode ~nthreads () =
+  run_session ~load ~run ~mode ~nthreads ~ctl:None ()
 
 (** Run one DPOR-controlled execution: [ex]'s forced prefix decides the
     first scheduling points, then the default continuation; the events
     and backtrack candidates land in [ex]. *)
-let run_controlled ~name ~load ~run ~nthreads ~ex () =
-  run_session ~name ~load ~run ~mode:Uniform ~nthreads ~ctl:(Some ex) ()
+let run_controlled ~load ~run ~nthreads ~ex () =
+  run_session ~load ~run ~mode:Uniform ~nthreads ~ctl:(Some ex) ()

@@ -161,7 +161,8 @@ let compile_plain ?backend ?elide ?name source : compiled =
   stage ?backend ?elide (Interp.load ?name ~preprocess:false source)
 
 (** The synthesised source of a compiled program. *)
-let preprocessed_source (p : compiled) = p.prog.Interp.preprocessed
+let preprocessed_source (p : compiled) =
+  p.prog.Interp.ast.Zr.Ast.source.Zr.Source.text
 
 (** The backend a program was staged for. *)
 let backend_of (p : compiled) : backend = p.backend

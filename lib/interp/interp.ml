@@ -47,7 +47,6 @@ type program = Rt.program = {
   ast : Ast.t;
   fns : (string, int) Hashtbl.t;          (* name -> Fn_decl node *)
   globals : (string, slot) Hashtbl.t;
-  preprocessed : string;                   (* the final source text *)
 }
 
 let slot_cell = Rt.slot_cell
@@ -455,19 +454,22 @@ and call_function prog fname args : Value.t =
 (* ------------------------------------------------------------------ *)
 (* Program loading.                                                    *)
 
-(** Load a Zr program: preprocess OpenMP pragmas (unless [preprocess] is
-    false), parse, register functions, and evaluate global
-    initialisers in order. *)
-let load ?(name = "<input>") ?(preprocess = true) (source : string) : program =
-  let text =
-    if preprocess then Preproc.Preprocess.run ~name source else source
-  in
-  let ast, _spans = Parser.parse_string ~name text in
+(** Parse a Zr program, lowering its OpenMP pragmas first unless
+    [preprocess] is false; the preprocessor's own parse of its output is
+    the result. *)
+let parse ?(name = "<input>") ?(preprocess = true) (source : string) : Ast.t =
+  if preprocess then
+    (Preproc.Preprocess.run_parsed ~name source).Preproc.Synth.ast
+  else fst (Parser.parse_string ~name source)
+
+(** A fresh program over a parsed one: register functions and evaluate
+    global initialisers in order.  Each call has its own globals, so one
+    parse can back many executions. *)
+let of_ast (ast : Ast.t) : program =
   let prog = {
     ast;
     fns = Hashtbl.create 16;
     globals = Hashtbl.create 16;
-    preprocessed = text;
   } in
   List.iter
     (fun d ->
@@ -502,6 +504,9 @@ let load ?(name = "<input>") ?(preprocess = true) (source : string) : program =
       | _ -> ())
     (Ast.top_decls ast);
   prog
+
+(** [load] — {!parse} then {!of_ast}. *)
+let load ?name ?preprocess source = of_ast (parse ?name ?preprocess source)
 
 (** Call an exported function with host values. *)
 let call prog fname args = call_function prog fname args

@@ -28,7 +28,6 @@ type program = {
   ast : Ast.t;
   fns : (string, int) Hashtbl.t;          (* name -> Fn_decl node *)
   globals : (string, slot) Hashtbl.t;
-  preprocessed : string;                   (* the final source text *)
 }
 
 (* ------------------------------------------------------------------ *)

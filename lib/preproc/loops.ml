@@ -307,11 +307,8 @@ let plan_loop (c : Synth.ctx) dir : Synth.replacement =
   { Synth.start = dir_start; stop = wh_stop; text = Buffer.contents b }
 
 (** One round of the pass; [None] when no worksharing directive found. *)
-let run ?(name = "<input>") (source : string) : string option =
-  let src = Source.of_string ~name source in
-  let ast, spans = Parser.parse src in
-  let c = { Synth.ast; spans } in
-  match Names.omp_nodes ast (fun tag -> tag = Ast.Omp_for) with
+let round (c : Synth.ctx) : string option =
+  match Names.omp_nodes c.ast (fun tag -> tag = Ast.Omp_for) with
   | [] -> None
   | dirs ->
       (* Skip directives nested inside another worksharing loop's range
@@ -320,5 +317,7 @@ let run ?(name = "<input>") (source : string) : string option =
         Synth.outermost (List.map (fun d -> (d, Synth.node_bytes c d)) dirs)
       in
       Some
-        (Synth.apply_replacements source
+        (Synth.apply_replacements (Synth.text c)
            (List.map (plan_loop c) outermost))
+
+let run ?name source = round (Synth.parse ?name source)

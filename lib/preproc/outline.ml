@@ -140,15 +140,12 @@ let plan_region (c : Synth.ctx) ~counter dir : plan =
   opf "}\n";
   { replacement; outlined = Buffer.contents o }
 
-(** Run the pass once over [source]: replace every [parallel] region,
+(** Run the pass once over [c]: replace every [parallel] region,
     appending the outlined functions at the end of the file.  Returns
     [None] when there was nothing to do.  [counter] supplies unique
     outlined-function indices across repeated rounds. *)
-let run ?(name = "<input>") ~counter (source : string) : string option =
-  let src = Source.of_string ~name source in
-  let ast, spans = Parser.parse src in
-  let c = { Synth.ast; spans } in
-  let dirs = Names.omp_nodes ast (fun tag -> tag = Ast.Omp_parallel) in
+let round ~counter (c : Synth.ctx) : string option =
+  let dirs = Names.omp_nodes c.ast (fun tag -> tag = Ast.Omp_parallel) in
   (* Only outline regions not nested inside another parallel region in
      the same round; inner ones are caught by the next round's re-parse
      of the outlined function. *)
@@ -167,10 +164,12 @@ let run ?(name = "<input>") ~counter (source : string) : string option =
           dirs
       in
       let rewritten =
-        Synth.apply_replacements source
+        Synth.apply_replacements (Synth.text c)
           (List.map (fun p -> p.replacement) plans)
       in
       let appended =
         String.concat "\n" (List.map (fun p -> p.outlined) plans)
       in
       Some (rewritten ^ "\n" ^ appended)
+
+let run ?name ~counter source = round ~counter (Synth.parse ?name source)

@@ -1,15 +1,18 @@
 (** The preprocessor driver — the paper's Listing 5.
 
-    Each step parses the current source, collects the replacement
-    payloads for the constructs it handles, performs the replacements
-    (offset adjustment falls out of rebuilding the text), and hands the
-    result to the next step: all parallel regions are replaced before
+    Each round of a step collects the replacement payloads for the
+    constructs it handles in a parsed program, performs the
+    replacements (offset adjustment falls out of rebuilding the text),
+    and returns the new text: all parallel regions are replaced before
     worksharing loops, so nested constructs of different types need no
     special handling.  Steps run to a fixpoint so that constructs
     exposed by a replacement (e.g. a loop inside a freshly outlined
-    function, or a nested region) are caught by a following round. *)
+    function, or a nested region) are caught by a following round.
 
-open Zr
+    Every text is parsed exactly once.  Only text a round produced is
+    parsed again; a round that changes nothing hands its parse on to
+    the next round or step, and the last one is the parse of the
+    output ({!run_parsed}). *)
 
 type step =
   | Loop_transforms
@@ -42,40 +45,43 @@ let step_to_string = function
    constructs; anything deeper than this is a cycle. *)
 let max_rounds = 64
 
-let fixpoint (f : string -> string option) source =
-  let rec go n source =
+(* The round loop: [round] maps its input to [Some text] when it
+   rewrote something, and [next] makes the following round's input
+   from that text. *)
+let converge ~(next : string -> 'a) (round : 'a -> string option) (x : 'a) :
+    'a =
+  let rec go n x =
     if n > max_rounds then
       failwith "Preprocess: replacement rounds did not converge";
-    match f source with
-    | None -> source
-    | Some source' -> go (n + 1) source'
+    match round x with
+    | None -> x
+    | Some text -> go (n + 1) (next text)
   in
-  go 0 source
+  go 0 x
 
-(** [run ?name source] — the full pipeline: Zr with OpenMP pragmas in,
-    plain Zr calling the [.omp.internal] runtime out. *)
-let run ?(name = "<input>") (source : string) : string =
+(** [fixpoint f source] — rounds of [f] over source text until one
+    changes nothing. *)
+let fixpoint (f : string -> string option) source =
+  converge ~next:Fun.id f source
+
+(** [run_parsed ?name source] — the full pipeline, returning the parse
+    of the output: Zr with OpenMP pragmas in, plain Zr calling the
+    [.omp.internal] runtime out. *)
+let run_parsed ?(name = "<input>") (source : string) : Synth.ctx =
   let counter = ref 0 in
   let task_counter = ref 0 in
+  let round = function
+    | Loop_transforms -> Transform.round ~force:false
+    | Split_combined -> Sync.split_round
+    | Parallel_regions -> Outline.round ~counter
+    | Worksharing_loops -> Loops.round
+    | Tasking -> Tasking.round ~counter:task_counter
+    | Sync -> Sync.sync_round
+  in
+  let parse = Synth.parse ~name in
   List.fold_left
-    (fun src step ->
-      match step with
-      | Loop_transforms -> fixpoint (Transform.run ~name) src
-      | Split_combined -> fixpoint (Sync.split_combined ~name) src
-      | Parallel_regions -> fixpoint (Outline.run ~name ~counter) src
-      | Worksharing_loops -> fixpoint (Loops.run ~name) src
-      | Tasking -> fixpoint (Tasking.run ~name ~counter:task_counter) src
-      | Sync -> fixpoint (Sync.run_sync ~name) src)
-    source steps
+    (fun c step -> converge ~next:parse (round step) c)
+    (parse source) steps
 
-(** Preprocess and reparse, failing loudly if the synthesised program
-    does not parse — a preprocessor bug, not a user error. *)
-let run_checked ?(name = "<input>") (source : string) : string * Ast.t =
-  let out = run ~name source in
-  match Parser.parse_string ~name:(name ^ " (preprocessed)") out with
-  | ast, _spans -> (out, ast)
-  | exception Source.Error msg ->
-      failwith
-        (Printf.sprintf
-           "Preprocess.run_checked: synthesised source does not parse \
-            (%s).\n--- output ---\n%s" msg out)
+(** [run ?name source] — the output text of {!run_parsed}. *)
+let run ?name source = Synth.text (run_parsed ?name source)

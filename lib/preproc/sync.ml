@@ -53,14 +53,21 @@ let split_one (c : Synth.ctx) dir : Synth.replacement =
   let _, wh_stop = Synth.node_bytes c wh in
   { Synth.start = dir_start; stop = wh_stop; text }
 
-let split_combined ?(name = "<input>") (source : string) : string option =
-  let src = Source.of_string ~name source in
-  let ast, spans = Parser.parse src in
-  let c = { Synth.ast; spans } in
-  match Names.omp_nodes ast (fun tag -> tag = Ast.Omp_parallel_for) with
+(** One round of the split; [None] when no combined construct is left.
+    A [parallel for] nested in another one is split by a later round,
+    after its enclosing construct's replacement has copied it. *)
+let split_round (c : Synth.ctx) : string option =
+  match Names.omp_nodes c.ast (fun tag -> tag = Ast.Omp_parallel_for) with
   | [] -> None
   | dirs ->
-      Some (Synth.apply_replacements source (List.map (split_one c) dirs))
+      let outermost =
+        Synth.outermost (List.map (fun d -> (d, Synth.node_bytes c d)) dirs)
+      in
+      Some
+        (Synth.apply_replacements (Synth.text c)
+           (List.map (split_one c) outermost))
+
+let split_combined ?name source = split_round (Synth.parse ?name source)
 
 (* ------------------------------------------------------------------ *)
 
@@ -129,11 +136,8 @@ let lower_sync (c : Synth.ctx) dir : Synth.replacement =
   in
   { Synth.start = dir_start; stop; text }
 
-let run_sync ?(name = "<input>") (source : string) : string option =
-  let src = Source.of_string ~name source in
-  let ast, spans = Parser.parse src in
-  let c = { Synth.ast; spans } in
-  match Names.omp_nodes ast sync_tags with
+let sync_round (c : Synth.ctx) : string option =
+  match Names.omp_nodes c.ast sync_tags with
   | [] -> None
   | dirs ->
       (* Outermost-first; nested sync constructs are handled by later
@@ -142,4 +146,7 @@ let run_sync ?(name = "<input>") (source : string) : string option =
         Synth.outermost (List.map (fun d -> (d, Synth.node_bytes c d)) dirs)
       in
       Some
-        (Synth.apply_replacements source (List.map (lower_sync c) outermost))
+        (Synth.apply_replacements (Synth.text c)
+           (List.map (lower_sync c) outermost))
+
+let run_sync ?name source = sync_round (Synth.parse ?name source)

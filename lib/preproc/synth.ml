@@ -10,6 +10,14 @@ open Zr
 
 type ctx = { ast : Ast.t; spans : Ast.spans }
 
+(** Parse [text]: the input of a replacement round. *)
+let parse ?(name = "<input>") text : ctx =
+  let ast, spans = Parser.parse (Source.of_string ~name text) in
+  { ast; spans }
+
+(** The source text [c] was parsed from. *)
+let text c = c.ast.Ast.source.Source.text
+
 let node_first_token c i = fst c.spans.(i)
 let node_last_token c i = snd c.spans.(i)
 

@@ -316,11 +316,8 @@ let plan_one (c : Synth.ctx) ~counter dir : plan =
 
 (** One round of the pass; [None] when no tasking directive was found.
     [counter] supplies unique task-function indices across rounds. *)
-let run ?(name = "<input>") ~counter (source : string) : string option =
-  let src = Source.of_string ~name source in
-  let ast, spans = Parser.parse src in
-  let c = { Synth.ast; spans } in
-  match Names.omp_nodes ast task_tags with
+let round ~counter (c : Synth.ctx) : string option =
+  match Names.omp_nodes c.ast task_tags with
   | [] -> None
   | dirs ->
       (* Outermost-first: a sections construct consumes its nested
@@ -331,7 +328,7 @@ let run ?(name = "<input>") ~counter (source : string) : string option =
       in
       let plans = List.map (plan_one c ~counter) outermost in
       let rewritten =
-        Synth.apply_replacements source
+        Synth.apply_replacements (Synth.text c)
           (List.map (fun p -> p.replacement) plans)
       in
       let appended =
@@ -341,3 +338,5 @@ let run ?(name = "<input>") ~counter (source : string) : string option =
         (match appended with
          | [] -> rewritten
          | fns -> rewritten ^ "\n" ^ String.concat "\n" fns)
+
+let run ?name ~counter source = round ~counter (Synth.parse ?name source)

@@ -994,13 +994,9 @@ let transform_dirs ast =
     clauses.  Refused transforms strip their clauses (and warn once,
     gated by [ZIGOMP_WARNINGS]); [~force:true] applies regardless of
     legality, for tests that demonstrate a refusal was sound. *)
-let run ?(name = "<input>") ?(force = false) (source : string) :
-    string option =
-  let src = Source.of_string ~name source in
-  let ast, spans = Parser.parse src in
-  let c = { Synth.ast; spans } in
+let round ?(force = false) (c : Synth.ctx) : string option =
   let planned =
-    transform_dirs ast
+    transform_dirs c.ast
     |> List.filter_map (fun d ->
            match plan c ~force d with
            | Nothing -> None
@@ -1035,7 +1031,9 @@ let run ?(name = "<input>") ?(force = false) (source : string) :
                   Some strip)
           planned
       in
-      Some (Synth.apply_replacements source reps)
+      Some (Synth.apply_replacements (Synth.text c) reps)
+
+let run ?name ?force source = round ?force (Synth.parse ?name source)
 
 (** Refusals of every transform-carrying directive of an already parsed
     program, for the static analyser's report.  Positions are original

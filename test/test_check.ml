@@ -501,12 +501,12 @@ fn main() i64 {
 |}
       n
   in
-  let pre = Preproc.Preprocess.run ~name src in
-  let load () = Interp.load ~name ~preprocess:false pre in
+  let ast = Interp.parse ~name src in
+  let load () = Interp.of_ast ast in
   let run prog = ignore (Interp.run_main prog) in
   let findings, stats =
     Checker.Dpor.explore ~max_execs:1 ~preempt_bound:2 ~run_one:(fun ex ->
-        fst (Checker.Sched.run_controlled ~name ~load ~run ~nthreads:4 ~ex ()))
+        fst (Checker.Sched.run_controlled ~load ~run ~nthreads:4 ~ex ()))
   in
   let rec tasks n = if n < 2 then 0 else 2 + tasks (n - 1) + tasks (n - 2) in
   Alcotest.(check (list string)) "no findings" []

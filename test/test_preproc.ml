@@ -33,8 +33,9 @@ let check_not name needle out =
 
 let pp src = Preproc.Preprocess.run ~name:"t.zr" src
 
-(* every output must re-parse cleanly *)
-let pp_checked src = fst (Preproc.Preprocess.run_checked ~name:"t.zr" src)
+(* the output as parsed by the pipeline itself *)
+let pp_checked src =
+  Preproc.Synth.text (Preproc.Preprocess.run_parsed ~name:"t.zr" src)
 
 let region_src = {|
 fn f(n: i64, x: []f64) f64 {
@@ -304,6 +305,155 @@ let test_idempotent_on_plain_source () =
   let plain = "fn f(a: i64) i64 { return a * 2; }\n" in
   Alcotest.(check string) "no pragmas, no changes" plain (pp plain)
 
+(* ---------------------------------------------------------------- *)
+(* Parse once.  [Preprocess.run_parsed] must give the text of the
+   string path — [Preprocess.fixpoint] over each pass's string entry
+   point, which reparses at every round — and, as its AST, exactly
+   [Parser.parse_string] of that text. *)
+
+module P = Preproc
+
+let string_path ~name source =
+  let counter = ref 0 and task_counter = ref 0 in
+  List.fold_left
+    (fun src step ->
+      let f =
+        match step with
+        | P.Preprocess.Loop_transforms -> fun s -> P.Transform.run ~name s
+        | Split_combined -> P.Sync.split_combined ~name
+        | Parallel_regions -> P.Outline.run ~name ~counter
+        | Worksharing_loops -> P.Loops.run ~name
+        | Tasking -> P.Tasking.run ~name ~counter:task_counter
+        | Sync -> P.Sync.run_sync ~name
+      in
+      P.Preprocess.fixpoint f src)
+    source P.Preprocess.steps
+
+let check_parse_once (name, source) =
+  let c = P.Preprocess.run_parsed ~name source in
+  let text = P.Synth.text c in
+  Alcotest.(check string) (name ^ ": text of the string path")
+    (string_path ~name source) text;
+  let ast, spans = Zr.Parser.parse_string ~name text in
+  let same what eq = Alcotest.(check bool) (name ^ ": same " ^ what) true eq in
+  same "source" (c.ast.Zr.Ast.source = ast.Zr.Ast.source);
+  same "tokens" (c.ast.Zr.Ast.tokens = ast.Zr.Ast.tokens);
+  same "nodes" (c.ast.Zr.Ast.nodes = ast.Zr.Ast.nodes);
+  same "extra_data" (c.ast.Zr.Ast.extra_data = ast.Zr.Ast.extra_data);
+  same "clause spans" (c.ast.Zr.Ast.clause_spans = ast.Zr.Ast.clause_spans);
+  same "spans" (c.spans = spans)
+
+let test_parse_once_corpus () =
+  List.iter
+    (fun ((name, source) as entry) ->
+      (* fixtures that fail to preprocess (default(none) violations)
+         must fail the same way on both paths *)
+      match string_path ~name source with
+      | exception Zr.Source.Error msg ->
+          Alcotest.check_raises (name ^ ": same error") (Zr.Source.Error msg)
+            (fun () -> ignore (P.Preprocess.run_parsed ~name source))
+      | _ -> check_parse_once entry)
+    (Lazy.force Test_tokenizer.corpus)
+
+let prop_parse_once =
+  QCheck2.Test.make ~name:"run_parsed = string path on random programs"
+    ~count:40 ~long_factor:10 ~print:Fun.id
+    Test_pipeline_prop.random_program_gen
+    (fun src ->
+      check_parse_once ("rand.zr", src);
+      true)
+
+(* ---------------------------------------------------------------- *)
+(* Robustness: near-miss programs made by mutating the corpus either
+   tokenise, parse, preprocess and analyse, or fail with a located
+   [Source.Error]; any other exception is a bug. *)
+
+type mutation =
+  | Truncate of int
+  | Delete of int * int
+  | Duplicate of int * int
+  | Replace of int * char
+  | Insert of int * string
+  | Insert_line of int * string  (* at the start of the line holding i *)
+
+let inserts =
+  [ "//$omp parallel for\n"; "//$omp for\n"; "//$omp parallel\n";
+    "//$omp barrier\n"; "//$omp "; "{"; "}"; "("; ")"; ";"; "\n"; "var";
+    "while"; "//"; "\""; "."; ".*"; "x" ]
+
+(* Whole statements, inserted at line starts. *)
+let statements =
+  [ "//$omp parallel for\nwhile (i < n) : (i += 1) { s += 1; }\n";
+    "//$omp for\nwhile (i < n) : (i += 1) { s += 1; }\n";
+    "//$omp parallel\n{ s += 1; }\n"; "//$omp critical\n{ s += 1; }\n";
+    "//$omp single\n{ s += 1; }\n"; "//$omp master\n{ s += 1; }\n";
+    "//$omp atomic\ns += 1;\n"; "//$omp task\n{ s += 1; }\n";
+    "//$omp taskwait\n"; "//$omp barrier\n";
+    "//$omp parallel for unroll(2)\nwhile (i < n) : (i += 1) { s += 1; }\n";
+    "//$omp sections\n{\n//$omp section\n{ s += 1; }\n}\n" ]
+
+let mutate text m =
+  let n = String.length text in
+  let clamp i = max 0 (min n i) in
+  let splice a b s = String.sub text 0 a ^ s ^ String.sub text b (n - b) in
+  match m with
+  | Truncate i -> String.sub text 0 (clamp i)
+  | Delete (i, len) -> splice (clamp i) (clamp (i + len)) ""
+  | Duplicate (i, len) ->
+      let i = clamp i in
+      splice i i (String.sub text i (clamp (i + len) - i))
+  | Replace (i, c) ->
+      if n = 0 then text else splice (i mod n) ((i mod n) + 1) (String.make 1 c)
+  | Insert (i, s) -> splice (clamp i) (clamp i) s
+  | Insert_line (i, s) ->
+      let i =
+        match String.rindex_from_opt text (clamp i - 1) '\n' with
+        | Some j -> j + 1
+        | None -> 0
+      in
+      splice i i s
+
+let mutant_gen =
+  let open QCheck2.Gen in
+  let mutation n =
+    let* i = int_range 0 n in
+    let* len = int_range 1 40 in
+    oneof
+      [ return (Truncate i); return (Delete (i, len));
+        return (Duplicate (i, len)); map (fun c -> Replace (i, c)) char;
+        map (fun s -> Insert (i, s)) (oneofl inserts);
+        map (fun s -> Insert_line (i, s)) (oneofl (inserts @ statements)) ]
+  in
+  let* k = nat in
+  let corpus = Lazy.force Test_tokenizer.corpus in
+  let name, text = List.nth corpus (k mod List.length corpus) in
+  let n = String.length text in
+  let* ms =
+    oneof
+      [ list_size (int_range 1 3) (mutation n);
+        map2
+          (fun i s -> [ Insert_line (i, s) ])
+          (int_range 0 n) (oneofl statements) ]
+  in
+  return (name, List.fold_left mutate text ms)
+
+let succeeds_or_located f =
+  match f () with _ -> () | exception Zr.Source.Error _ -> ()
+
+let prop_mutants =
+  QCheck2.Test.make
+    ~name:"mutated fixtures go through the frontend or raise Source.Error"
+    ~count:1500 ~long_factor:20
+    ~print:(fun (name, text) -> name ^ ":\n" ^ text)
+    mutant_gen
+    (fun (name, text) ->
+      succeeds_or_located (fun () ->
+          Zr.Tokenizer.tokenize (Zr.Source.of_string ~name text));
+      succeeds_or_located (fun () -> Zr.Parser.parse_string ~name text);
+      succeeds_or_located (fun () -> P.Preprocess.run_parsed ~name text);
+      succeeds_or_located (fun () -> Analyze.run ~name text);
+      true)
+
 let suite =
   [ Alcotest.test_case "outlining basics" `Quick test_outlining_basics;
     Alcotest.test_case "shared accesses rewritten" `Quick
@@ -333,4 +483,10 @@ let suite =
       test_offset_adjustment_multiple_directives;
     Alcotest.test_case "idempotent without pragmas" `Quick
       test_idempotent_on_plain_source;
+    Alcotest.test_case "one parse per text on the corpus" `Quick
+      test_parse_once_corpus;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |])
+      prop_parse_once;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |])
+      prop_mutants;
   ]

@@ -279,6 +279,42 @@ let test_task_shapes_take_generic_path () =
      | Ok _ -> false);
   check_tiers "prologue field missing from the literal" ~want:walker missing
 
+(* A [parallel for] nested in another: the combined-construct split
+   rewrites the outer one first and the inner one in a later round,
+   instead of overlapping the two replacements. *)
+let test_nested_parallel_for () =
+  let base = Omprt.Api.get_max_threads () in
+  Fun.protect ~finally:(fun () -> Omprt.Api.set_num_threads base)
+  @@ fun () ->
+  List.iter
+    (fun nt ->
+      Omprt.Api.set_num_threads nt;
+      check_tiers
+        (Printf.sprintf "nested parallel for, %d threads" nt)
+        ~want:(Ok (V.VInt 24))
+        (tiers ~fname:"main" ~args:(fun () -> [])
+           {|
+fn main() i64 {
+    var out = alloc_i64(4);
+    var i: i64 = 0;
+    //$omp parallel for shared(out)
+    while (i < 4) : (i += 1) {
+        var acc: i64 = 0;
+        var j: i64 = 0;
+        //$omp parallel for reduction(+: acc)
+        while (j < 3) : (j += 1) {
+            acc += 2;
+        }
+        out[i] = acc;
+    }
+    var s: i64 = 0;
+    var k: i64 = 0;
+    while (k < 4) : (k += 1) { s += out[k]; }
+    return s;
+}
+|}))
+    [ 1; 4 ]
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_tasking_tiers;
     Alcotest.test_case "tasks in main own their ICVs on every tier" `Quick
@@ -286,4 +322,6 @@ let suite =
     Alcotest.test_case "non-outliner task shapes agree on every tier" `Quick
       test_task_shapes_take_generic_path;
     Alcotest.test_case "assignment targets evaluate once on every tier"
-      `Quick test_assign_target_once ]
+      `Quick test_assign_target_once;
+    Alcotest.test_case "nested parallel for runs on every tier" `Quick
+      test_nested_parallel_for ]

@@ -118,6 +118,92 @@ let test_positions () =
   Alcotest.(check (pair int int)) "line 2" (2, 1) (Source.position src 3);
   Alcotest.(check (pair int int)) "line 3 col 2" (3, 2) (Source.position src 7)
 
+(* ---------------------------------------------------------------- *)
+(* Differential: the tokeniser against the reference kept in
+   ref_tokenizer.ml.  Both must give the same tokens, or fail with the
+   same located error. *)
+
+let outcome tokenize text =
+  match tokenize (Source.of_string text) with
+  | toks ->
+      Ok
+        (Array.to_list
+           (Array.map
+              (fun (t : Token.t) ->
+                (Token.tag_to_string t.tag, t.start, t.stop))
+              toks))
+  | exception Source.Error msg -> Error msg
+
+let outcome_t = Alcotest.(result (list (triple string int int)) string)
+
+let check_same name text =
+  Alcotest.check outcome_t name
+    (outcome Ref_tokenizer.tokenize text)
+    (outcome Tokenizer.tokenize text)
+
+(* Every fixture under examples/zr and the three NPB Zr kernels (the
+   test binary runs in _build/default/test). *)
+let corpus =
+  lazy
+    (List.map
+       (fun p -> (p, Zigomp.Corpus.read_file p))
+       (Zigomp.Corpus.discover
+          (Filename.concat (Filename.concat ".." "examples") "zr"))
+    @ Zigomp.Corpus.kernel_sources)
+
+let test_differential_corpus () =
+  List.iter (fun (name, text) -> check_same name text) (Lazy.force corpus)
+
+(* Zr fragments, edge cases first: a sentinel at EOF or cut short, a
+   comment inside a pragma, the two-character dot operators, literals
+   that stop short of a fraction or an exponent, keyword prefixes,
+   builtin names, escapes, an unterminated string, CRLF and a
+   non-ASCII byte. *)
+let fragments =
+  [ "//$omp"; "//$om"; "//$omp parallel // note\n"; "// comment\n"; ".*";
+    ".{"; "1."; "1.5e+3"; "2e"; "7E-2"; "1_000"; "fnx"; "if_"; "@x";
+    "\"\\\""; "\"ab\""; "\"open"; "\r\n"; "\xc3"; "//$omp parallel for\n";
+    "//$omp for schedule(dynamic, 2) nowait\n"; "fn"; "var"; "const";
+    "while"; "if"; "else"; "return"; "true"; "false"; "and"; "or";
+    "break"; "continue"; "undefined"; "export"; "undefinedx"; "x";
+    "acc"; "Zed"; "_t"; "wx"; "i64"; "0"; "42"; "3.25"; " "; "\t"; "\n";
+    "/"; "/="; "+"; "+="; "-"; "-="; "*"; "*="; "="; "=="; "!"; "!=";
+    "<"; "<="; ">"; ">="; "&"; "%"; "("; ")"; "{"; "}"; "["; "]"; ",";
+    ";"; ":"; "."; "#" ]
+
+let test_edge_fragments () =
+  List.iter
+    (fun f ->
+      check_same (String.escaped f) f;
+      check_same (String.escaped ("x " ^ f ^ " y")) ("x " ^ f ^ " y");
+      check_same (String.escaped ("//$omp " ^ f)) ("//$omp " ^ f))
+    fragments
+
+(* Random texts: fragments, slices of the corpus and arbitrary bytes.
+   The corpus is read when the first slice is drawn. *)
+let text_gen =
+  let open QCheck2.Gen in
+  let slice =
+    let* k = nat in
+    let* start = nat in
+    let* len = int_range 0 80 in
+    let corpus = Lazy.force corpus in
+    let text = snd (List.nth corpus (k mod List.length corpus)) in
+    let start = start mod (String.length text + 1) in
+    return (String.sub text start (min len (String.length text - start)))
+  in
+  let piece =
+    frequency
+      [ (6, oneofl fragments); (3, slice); (1, map (String.make 1) char) ]
+  in
+  map (String.concat "") (list_size (int_range 0 30) piece)
+
+let prop_differential =
+  QCheck2.Test.make ~name:"tokeniser = reference tokeniser on random text"
+    ~count:500 ~long_factor:40 ~print:String.escaped text_gen
+    (fun text ->
+      outcome Tokenizer.tokenize text = outcome Ref_tokenizer.tokenize text)
+
 let suite =
   [ Alcotest.test_case "simple declaration" `Quick test_simple;
     Alcotest.test_case "operators" `Quick test_operators;
@@ -133,4 +219,10 @@ let suite =
     Alcotest.test_case "unterminated string error" `Quick
       test_error_unterminated_string;
     Alcotest.test_case "source positions" `Quick test_positions;
+    Alcotest.test_case "same tokens as the reference on the corpus" `Quick
+      test_differential_corpus;
+    Alcotest.test_case "same tokens as the reference on edge cases" `Quick
+      test_edge_fragments;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |])
+      prop_differential;
   ]

@@ -189,17 +189,24 @@ fn spmv(nrows: i64, a: []f64, colidx: []i64, rowstr: []i64,
 }
 |}
 
+(* Mean seconds per call of [fname] over [reps] calls, after one
+   warm-up call (which also specialises the bytecode tier's drains). *)
+let time_call prog fname args ~reps =
+  ignore (Zigomp.call prog fname args);
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to reps do ignore (Zigomp.call prog fname args) done;
+  (Unix.gettimeofday () -. t0) /. float_of_int reps
+
+(* The same, in nanoseconds per iteration of a call's [iters] loop
+   iterations. *)
+let time_per_iter prog fname args ~iters ~reps =
+  1e9 *. time_call prog fname args ~reps /. float_of_int iters
+
 let bench_interp () =
   print_endline
     "== interp: AST walker vs staged closure compiler (real execution, 1 \
      thread) ==";
   Zigomp.set_num_threads 1;
-  let time_per_iter prog fname args ~iters ~reps =
-    ignore (Zigomp.call prog fname args);  (* warm-up *)
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do ignore (Zigomp.call prog fname args) done;
-    1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int (reps * iters)
-  in
   let case ~name ~src ~fname ~args ~iters ~reps =
     let ast = Zigomp.compile ~backend:`Ast ~name:(name ^ ".zr") src in
     let compiled = Zigomp.compile ~backend:`Compiled ~name:(name ^ ".zr") src in
@@ -267,12 +274,6 @@ let bench_bytecode () =
     "== bytecode: register VM vs staged closures vs AST walker (real \
      execution, 1 thread) ==";
   Zigomp.set_num_threads 1;
-  let time_per_iter prog fname args ~iters ~reps =
-    ignore (Zigomp.call prog fname args);  (* warm-up, and specialise *)
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do ignore (Zigomp.call prog fname args) done;
-    1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int (reps * iters)
-  in
   let case ~name ~src ~fname ~args ~iters ~reps =
     let run backend ?elide () =
       let p = Zigomp.compile ~backend ?elide ~name:(name ^ ".zr") src in
@@ -421,12 +422,6 @@ let bench_transform () =
   print_endline
     "== transform: tile/interchange/unroll/collapse rewrites under the \
      bytecode tier (real execution) ==";
-  let time_per_iter prog fname args ~iters ~reps =
-    ignore (Zigomp.call prog fname args);  (* warm-up, and specialise *)
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do ignore (Zigomp.call prog fname args) done;
-    1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int (reps * iters)
-  in
   let run_variant ~name ~src ~fname ~args ~iters ~reps =
     let p = Zigomp.compile ~backend:`Bytecode ~name:(name ^ ".zr") src in
     time_per_iter p fname args ~iters ~reps
@@ -858,12 +853,6 @@ let bench_tasking () =
   print_endline
     "== tasking: taskloop vs static for; task fib vs serial (4 threads) ==";
   Zigomp.set_num_threads 4;
-  let time prog fname args ~reps =
-    ignore (Zigomp.call prog fname args);  (* warm-up *)
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do ignore (Zigomp.call prog fname args) done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
   let n = 65_536 in
   let a = Array.init n (fun i -> float_of_int (i mod 7)) in
   let b = Array.make n 0. in
@@ -871,11 +860,13 @@ let bench_tasking () =
     [ Zigomp.Value.VInt n; Zigomp.Value.VFloatArr a;
       Zigomp.Value.VFloatArr b ]
   in
-  let per_iter s = 1e9 *. s /. float_of_int (n - 2) in
   let tl_prog = Zigomp.compile ~name:"taskloop_sweep.zr" taskloop_sweep_src in
   let st_prog = Zigomp.compile ~name:"staticfor_sweep.zr" staticfor_sweep_src in
-  let tl_ns = per_iter (time tl_prog "sweep" sweep_args ~reps:10) in
-  let st_ns = per_iter (time st_prog "sweep" sweep_args ~reps:10) in
+  let sweep_ns prog =
+    time_per_iter prog "sweep" sweep_args ~iters:(n - 2) ~reps:10
+  in
+  let tl_ns = sweep_ns tl_prog in
+  let st_ns = sweep_ns st_prog in
   Printf.printf
     "  %-14s %10.1f ns/iter (taskloop g=256) %10.1f ns/iter (static for) \
      %6.2fx overhead\n%!"
@@ -888,8 +879,8 @@ let bench_tasking () =
   let tv = Zigomp.call tfib_prog "fibmain" fib_args in
   let sv = Zigomp.call sfib_prog "fibmain" fib_args in
   if tv <> sv then failwith "bench tasking: task fib diverged from serial";
-  let tfib_ms = 1e3 *. time tfib_prog "fibmain" fib_args ~reps:5 in
-  let sfib_ms = 1e3 *. time sfib_prog "fibmain" fib_args ~reps:5 in
+  let tfib_ms = 1e3 *. time_call tfib_prog "fibmain" fib_args ~reps:5 in
+  let sfib_ms = 1e3 *. time_call sfib_prog "fibmain" fib_args ~reps:5 in
   Printf.printf
     "  %-14s %10.2f ms/call (task) %10.2f ms/call (serial) %6.2fx \
      overhead\n%!"

@@ -396,22 +396,6 @@ let analyze_cmd =
 
 (* ---- check ---- *)
 
-let check_config threads schedules seed no_sweep no_lint sampled
-    preempt_bound max_execs =
-  Option.iter (Printf.eprintf "%s\n")
-    (Zigomp.Checker.no_effect_warning ~sampled ~preempt_bound);
-  { Zigomp.Checker.nthreads = threads;
-    schedules;
-    seed;
-    sync_sweep = not no_sweep;
-    lint = not no_lint;
-    exploration =
-      (if sampled then Zigomp.Checker.Sampled
-       else
-         Zigomp.Checker.Dpor
-           { max_execs;
-             preempt_bound = Option.value preempt_bound ~default:2 }) }
-
 let do_check file config ~json ~no_static =
   let source = read_file file in
   let dynamic = Zigomp.check ~name:file ~config source in
@@ -432,22 +416,6 @@ let threads_opt =
        & info [ "t"; "threads" ] ~docv:"N"
            ~doc:"Team size for the checked runs")
 
-let schedules_opt =
-  Arg.(value & opt int 3
-       & info [ "schedules" ] ~docv:"K"
-           ~doc:"Number of seeded random schedules to explore")
-
-let seed_opt =
-  Arg.(value & opt int 42
-       & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Base seed for the random schedules (fixed seed = \
-                 deterministic findings)")
-
-let no_sweep_opt =
-  Arg.(value & flag
-       & info [ "no-sweep" ]
-           ~doc:"Skip the systematic skewed-interleaving schedules")
-
 let no_lint_opt =
   Arg.(value & flag
        & info [ "no-lint" ] ~doc:"Skip the execution-free lints")
@@ -466,23 +434,13 @@ let no_static_opt =
                  static side); with $(b,--corpus), every entry \
                  reports raw dynamic findings")
 
-let sampled_opt =
-  Arg.(value & flag
-       & info [ "sampled" ]
-           ~doc:"Use the legacy fixed-schedule sampling (uniform + \
-                 skewed sweep + seeded draws) instead of DPOR; the \
-                 report verdict is SAMPLED and a clean result is \
-                 evidence, not a proof")
-
 let preempt_bound_opt =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt int 2
        & info [ "preempt-bound" ] ~docv:"N"
-           ~doc:"DPOR frontier order and BOUNDED verdict bound \
-                 (default 2): prefixes forcing at most $(docv) \
-                 preemptions are explored first, and a \
-                 budget-truncated search reports whether any \
-                 within-bound prefix was left.  No effect with \
-                 $(b,--sampled).")
+           ~doc:"DPOR frontier order and BOUNDED verdict bound: \
+                 prefixes forcing at most $(docv) preemptions are \
+                 explored first, and a budget-truncated search \
+                 reports whether any within-bound prefix was left")
 
 let max_execs_opt =
   Arg.(value & opt int 256
@@ -491,6 +449,16 @@ let max_execs_opt =
                  reduced interleaving space needs more, the report \
                  verdict degrades from COMPLETE to BOUNDED (clean \
                  exit 1 instead of 0)")
+
+(* The checker configuration, shared by `zrc check` and `zrc --check`. *)
+let config_term =
+  let make nthreads no_lint preempt_bound max_execs =
+    { Zigomp.Checker.nthreads;
+      lint = not no_lint;
+      exploration = Zigomp.Checker.Dpor { max_execs; preempt_bound } }
+  in
+  Term.(const make $ threads_opt $ no_lint_opt $ preempt_bound_opt
+        $ max_execs_opt)
 
 let corpus_check_opt =
   Arg.(value & opt (some dir) None
@@ -507,13 +475,8 @@ let no_kernels_opt =
            ~doc:"With $(b,--corpus): skip the bundled NPB Zr kernels")
 
 let check_cmd =
-  let run file corpus no_kernels threads schedules seed no_sweep no_lint
-      sampled preempt_bound max_execs json no_static =
+  let run file corpus no_kernels config json no_static =
     try
-      let config =
-        check_config threads schedules seed no_sweep no_lint sampled
-          preempt_bound max_execs
-      in
       match (corpus, file) with
       | Some dir, None ->
           do_corpus ~no_static ~mode:Zigomp.Corpus.Mcheck ~config
@@ -533,14 +496,11 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:"Race-check a program: vector-clock happens-before \
              detection with DPOR exploration of the reduced \
-             interleaving space (COMPLETE/BOUNDED verdicts; \
-             $(b,--sampled) restores fixed-schedule sampling), plus \
+             interleaving space (COMPLETE/BOUNDED verdicts), plus \
              static lints.  Exit 0 when clean and complete, 1 when \
              clean but budget-bounded, 2 when findings are reported.")
     Term.(const run $ file_opt $ corpus_check_opt $ no_kernels_opt
-          $ threads_opt $ schedules_opt $ seed_opt $ no_sweep_opt
-          $ no_lint_opt $ sampled_opt $ preempt_bound_opt $ max_execs_opt
-          $ check_json_opt $ no_static_opt)
+          $ config_term $ check_json_opt $ no_static_opt)
 
 let () =
   let info =
@@ -550,16 +510,11 @@ let () =
   (* `zrc --check FILE` is accepted at top level as a synonym for the
      `check` subcommand, the spelling used throughout the docs. *)
   let default =
-    let run check_file threads schedules seed no_sweep no_lint sampled
-        preempt_bound max_execs =
+    let run check_file config =
       match check_file with
       | Some file ->
           `Ok
-            (try
-               do_check file
-                 (check_config threads schedules seed no_sweep no_lint
-                    sampled preempt_bound max_execs)
-                 ~json:false ~no_static:false
+            (try do_check file config ~json:false ~no_static:false
              with
              | Zr.Source.Error msg -> Printf.eprintf "error: %s\n" msg; 1
              | Failure msg | Invalid_argument msg ->
@@ -572,9 +527,7 @@ let () =
                ~doc:"Race-check $(docv) (same as the $(b,check) \
                      subcommand)")
     in
-    Term.(ret (const run $ check_file $ threads_opt $ schedules_opt
-               $ seed_opt $ no_sweep_opt $ no_lint_opt $ sampled_opt
-               $ preempt_bound_opt $ max_execs_opt))
+    Term.(ret (const run $ check_file $ config_term))
   in
   exit
     (Cmd.eval' ~catch:true

@@ -55,8 +55,7 @@ let run ?(name = "<input>") source : result =
   match Zr.Parser.parse_string ~name source with
   | exception Zr.Source.Error msg ->
       { report =
-          Report.make ~backend:"analyze" ~name ~schedules:0
-            [ Report.error ~detail:msg ];
+          Report.make ~backend:"analyze" ~name [ Report.error ~detail:msg ];
         may = [];
         fixes = [] }
   | ast, spans ->
@@ -81,7 +80,7 @@ let run ?(name = "<input>") source : result =
       in
       { report =
           Report.make ~backend:"analyze" ~source:ast.Zr.Ast.source ~name
-            ~schedules:0 out.Autoscope.findings;
+            out.Autoscope.findings;
         may =
           List.sort compare (dedup_by_line out.Autoscope.may)
           @ transform_may;

@@ -1,4 +1,4 @@
-(** [zrc --check]: vector-clock race detection and schedule exploration
+(** [zrc --check]: vector-clock race detection and DPOR exploration
     for Zr OpenMP programs.
 
     This is the library's entry point (and root module).  A check runs
@@ -7,16 +7,15 @@
     + execution-free lints on the original AST ({!Lint});
     + the preprocessor, whose [default(none)] diagnostic is converted
       into a lint finding;
-    + the dynamic pass: the program runs repeatedly on the cooperative
-      vector-clocked runtime ({!Sched}), once per schedule, and every
-      happens-before violation observed by the {!Race} detector — plus
-      barrier divergences and runtime errors — becomes a finding.
+    + the dynamic pass: {!Dpor} drives repeated executions of the
+      program on the cooperative vector-clocked runtime ({!Sched}), and
+      every happens-before violation observed by the {!Race} detector —
+      plus barrier divergences and runtime errors — becomes a finding.
 
-    Everything is deterministic for a fixed configuration: schedules
-    are derived from the seed, virtual threads are scheduled by the
-    discrete-event rule, and the report is deduplicated and sorted.
-    The happens-before model and its limits are documented in
-    DESIGN.md. *)
+    Everything is deterministic for a fixed configuration: each
+    execution replays a decision prefix, the frontier is drained in a
+    fixed order, and the report is deduplicated and sorted.  The
+    happens-before model and its limits are documented in DESIGN.md. *)
 
 module Report = Report
 module Vc = Vc
@@ -25,57 +24,21 @@ module Sched = Sched
 module Dpor = Dpor
 module Lint = Lint
 
-(** How the dynamic pass explores interleavings.  [Dpor] is the
-    default: exhaust the reduced interleaving space (up to
-    [max_execs] executions, lowest-preemption-count prefixes first)
-    and report COMPLETE or BOUNDED.  [Sampled] is the legacy
-    fixed-schedule mode (uniform + skewed sweep + seeded draws). *)
-type exploration_cfg =
-  | Sampled
-  | Dpor of { max_execs : int; preempt_bound : int }
+(** How the dynamic pass explores interleavings: exhaust the reduced
+    interleaving space (up to [max_execs] executions,
+    lowest-preemption-count prefixes first) and report COMPLETE or
+    BOUNDED. *)
+type exploration_cfg = Dpor of { max_execs : int; preempt_bound : int }
 
 type config = {
   nthreads : int;    (** team size for the checked runs *)
-  schedules : int;   (** number of seeded random schedules (sampled) *)
-  seed : int;        (** base seed for the random schedules *)
-  sync_sweep : bool; (** also run the systematic skewed schedules *)
   lint : bool;       (** run the execution-free lints *)
   exploration : exploration_cfg;
 }
 
 let default_config =
-  { nthreads = 4; schedules = 3; seed = 42; sync_sweep = true; lint = true;
+  { nthreads = 4; lint = true;
     exploration = Dpor { max_execs = 256; preempt_bound = 2 } }
-
-(** CLI flag cross-check: a [--preempt-bound] given alongside
-    [--sampled] is dead weight — the bound orders DPOR exploration, and
-    sampled schedules are never preemption-bounded.  Returns the
-    diagnostic to print, [None] when the combination is fine. *)
-let no_effect_warning ~sampled ~preempt_bound =
-  match (sampled, preempt_bound) with
-  | true, Some n ->
-      Some
-        (Printf.sprintf
-           "warning: --preempt-bound %d has no effect with --sampled \
-            (the bound orders DPOR exploration; sampled schedules are \
-            never preemption-bounded)"
-           n)
-  | _ -> None
-
-(* The schedule set: lockstep interleaving, then systematic relative
-   skews (each team member fastest in turn), then the seeded draws. *)
-let modes config =
-  (Sched.Uniform
-   :: (if config.sync_sweep then
-         List.init 3 (fun k -> Sched.Skewed (k + 1))
-       else []))
-  @ List.init (max 0 config.schedules) (fun i ->
-        Sched.Seeded (config.seed + i))
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
 
 let substr_index s sub =
   let n = String.length s and m = String.length sub in
@@ -104,34 +67,20 @@ let default_none_id msg =
           in
           "lint|default-none|" ^ String.concat "," vars)
 
-(* The dynamic pass: findings, number of executions, and how the
-   interleaving space was explored (for the report's verdict). *)
+(* The dynamic pass: findings, and how the interleaving space was
+   explored (for the report's verdict). *)
 let dynamic ~config ~load ~run =
-  match config.exploration with
-  | Sampled ->
-      let ms = modes config in
-      ( List.concat_map
-          (fun mode ->
-            fst
-              (Sched.run_schedule ~load ~run ~mode
-                 ~nthreads:config.nthreads ()))
-          ms,
-        List.length ms,
-        Report.Sampled )
-  | Dpor { max_execs; preempt_bound } ->
-      let run_one ex =
-        fst
-          (Sched.run_controlled ~load ~run
-             ~nthreads:config.nthreads ~ex ())
-      in
-      let findings, stats = Dpor.explore ~max_execs ~preempt_bound ~run_one in
-      let executions = stats.Dpor.executions in
-      ( findings,
-        executions,
-        match stats.Dpor.verdict with
-        | Dpor.Complete -> Report.Complete { executions }
-        | Dpor.Bounded { within_bound_left } ->
-            Report.Bounded { executions; preempt_bound; within_bound_left } )
+  let (Dpor { max_execs; preempt_bound }) = config.exploration in
+  let run_one ex =
+    Sched.run_controlled ~load ~run ~nthreads:config.nthreads ~ex ()
+  in
+  let findings, stats = Dpor.explore ~max_execs ~preempt_bound ~run_one in
+  let executions = stats.Dpor.executions in
+  ( findings,
+    match stats.Dpor.verdict with
+    | Dpor.Complete -> Report.Complete { executions }
+    | Dpor.Bounded { within_bound_left } ->
+        Report.Bounded { executions; preempt_bound; within_bound_left } )
 
 (** Check a whole program (its [main] drives the dynamic pass; a
     program without [main] gets the static passes only). *)
@@ -139,25 +88,25 @@ let check_source ?(name = "<input>") ?(config = default_config) src :
     Report.t =
   match (if config.lint then Lint.run ~name src else []) with
   | exception Zr.Source.Error msg ->
-      Report.make ~name ~schedules:0 [ Report.error ~detail:msg ]
+      Report.make ~name [ Report.error ~detail:msg ]
   | lints -> (
       match Interp.parse ~name src with
       | exception Zr.Source.Error msg ->
           let f =
-            if contains msg "default(none)" then
+            if substr_index msg "default(none)" <> None then
               Report.lint ~id:(default_none_id msg) ()
                 ~rule:"default-none" ~detail:msg
             else Report.error ~detail:msg
           in
-          Report.make ~name ~schedules:0 (f :: lints)
+          Report.make ~name (f :: lints)
       | ast ->
           let load () = Interp.of_ast ast in
           if not (Hashtbl.mem (load ()).Interp.fns "main") then
-            Report.make ~name ~schedules:0 lints
+            Report.make ~name lints
           else
             let run prog = ignore (Interp.run_main prog) in
-            let dyn, k, expl = dynamic ~config ~load ~run in
-            Report.make ~name ~schedules:k ~exploration:expl (lints @ dyn))
+            let dyn, expl = dynamic ~config ~load ~run in
+            Report.make ~name ~exploration:expl (lints @ dyn))
 
 (** Check a program driven by a host entry point instead of [main] —
     how the NPB Zr kernels are checked: the caller registers its host
@@ -172,8 +121,8 @@ let check_run ?(name = "<zr>") ?(config = default_config) ~source
   in
   match Interp.parse ~name source with
   | exception Zr.Source.Error msg ->
-      Report.make ~name ~schedules:0 [ Report.error ~detail:msg ]
+      Report.make ~name [ Report.error ~detail:msg ]
   | ast ->
       let load () = Interp.of_ast ast in
-      let dyn, k, expl = dynamic ~config ~load ~run:entry in
-      Report.make ~name ~schedules:k ~exploration:expl (lints @ dyn)
+      let dyn, expl = dynamic ~config ~load ~run:entry in
+      Report.make ~name ~exploration:expl (lints @ dyn)

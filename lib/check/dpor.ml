@@ -1,10 +1,10 @@
 (** Dynamic partial-order reduction over the cooperative checker.
 
-    The 7-schedule sampler (PR 3) perturbs access costs and hopes; this
-    module makes the exploration systematic.  An execution is driven by
-    a {e decision sequence}: at every scheduling point the controlled
-    {!Sim.Des} scheduler asks {!decide} which runnable virtual thread
-    to resume.  Because the interpreter, the cooperative runtime and
+    This module is how the checker explores interleavings, and it does
+    so systematically.  An execution is driven by a {e decision
+    sequence}: at every scheduling point the controlled {!Sim.Des}
+    scheduler asks {!decide} which runnable virtual thread to resume.
+    Because the interpreter, the cooperative runtime and
     the virtual-thread ids are all deterministic functions of that
     sequence, replaying a recorded prefix of decisions reproduces the
     execution exactly — re-execution seeding instead of state

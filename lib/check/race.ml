@@ -9,9 +9,9 @@
     ordered them.
 
     Every event is stamped with the DPOR decision index that resumed
-    its thread, so under DPOR each racing prior is also handed to the
-    engine as a backtrack candidate ({!Dpor.backtrack}): a racing pair
-    is exactly a dependent, reorderable one, and the engine keeps no
+    its thread, so each racing prior is also handed to the engine as a
+    backtrack candidate ({!Dpor.backtrack}): a racing pair is exactly
+    a dependent, reorderable one, and the engine keeps no
     data-location table of its own.
 
     Locations are identified physically: variable cells by the [ref]
@@ -26,7 +26,7 @@ module Rt = Interp.Rt
 type evt = {
   tid : int;
   clk : int;
-  step : int;              (* DPOR decision index; -1 when sampled *)
+  step : int;              (* DPOR decision index *)
   off : int;               (* byte offset in the preprocessed source *)
   op : string option;      (* compound-assignment operator, writes only *)
   rw : [ `R | `W ];
@@ -39,7 +39,7 @@ type shadow = { w : evt array; reads : evt list array }
 
 type t = {
   src : Zr.Source.t;  (* preprocessed source, for positions/snippets *)
-  dpor : Dpor.exec option;  (* the controlling DPOR execution, if any *)
+  dpor : Dpor.exec;   (* the controlling DPOR execution *)
   mutable cells : (Interp.Value.t ref * shadow) list;
   mutable fa : (float array * shadow) list;
   mutable ia : (int array * shadow) list;
@@ -85,13 +85,6 @@ let shadow_of t (acc : Rt.access) =
 
 (* ---------------------------- rendering --------------------------- *)
 
-(* Shared captures reach the outlined function through a synthesised
-   [<name>__ptr] parameter; report the user's name. *)
-let clean_var v =
-  if String.length v > 5 && Filename.check_suffix v "__ptr" then
-    String.sub v 0 (String.length v - 5)
-  else v
-
 let pos t off =
   let line, col = Zr.Source.position t.src off in
   Printf.sprintf "%d:%d" line col
@@ -127,7 +120,7 @@ let report t ~var ~(prior : evt) ~(cur : evt) =
     if (prior.off, prior.rw) <= (cur.off, cur.rw) then (prior, cur)
     else (cur, prior)
   in
-  let var = clean_var var in
+  let var = Report.clean_var var in
   let key =
     Printf.sprintf "%s|%s%d|%s%d" var (rw_s a.rw) a.off (rw_s b.rw) b.off
   in
@@ -146,14 +139,12 @@ let report t ~var ~(prior : evt) ~(cur : evt) =
 
 (* [prior] races with [cur], an access by [gid] at clock [vc], unless
    they share a thread or a happens-before edge orders them: report the
-   pair and, under DPOR, reorder it at [prior]'s decision. *)
+   pair and reorder it at [prior]'s decision. *)
 let check t ~hint ~gid ~vc ~cur (prior : evt) =
   if prior.tid <> gid && not (Vc.covers vc ~tid:prior.tid ~clk:prior.clk)
   then begin
     report t ~var:hint ~prior ~cur;
-    match t.dpor with
-    | Some ex -> Dpor.backtrack ex ~step:prior.step ~gid
-    | None -> ()
+    Dpor.backtrack t.dpor ~step:prior.step ~gid
   end
 
 let rec check_all t ~hint ~gid ~vc ~cur = function
@@ -173,11 +164,7 @@ let access t ~rw (acc : Rt.access) ~off ~hint ~gid ~(vc : Vc.t)
   let i =
     match acc with Rt.Acell _ -> 0 | Rt.Afelem (_, i) | Rt.Aielem (_, i) -> i
   in
-  let step =
-    match t.dpor with
-    | Some ex -> Dpor.data_step ex ~gid ~vc ~rw
-    | None -> -1
-  in
+  let step = Dpor.data_step t.dpor ~gid ~vc ~rw in
   let cur =
     { tid = gid; clk = Vc.get vc gid; step; off;
       op = (if rw = `W then op else None); rw }

@@ -3,8 +3,8 @@
     Every finding renders to exactly one stable line; the report is the
     deduplicated, sorted list of those lines under a one-line summary.
     Golden tests and the CI determinism check compare reports textually,
-    so rendering must not depend on schedule timing beyond what the
-    fixed seed already pins down.
+    so rendering must not depend on which execution surfaced a finding
+    first.
 
     The type is shared by the dynamic checker ([zrc check]) and the
     static analyser ([zrc analyze]).  Findings carry a stable
@@ -30,8 +30,7 @@ type finding = {
   verdict : verdict option;  (** set by the static analyser only *)
 }
 
-(** How the dynamic interleaving space was explored.  [Sampled] is the
-    legacy fixed-schedule mode: a clean verdict is evidence, not proof.
+(** How the dynamic interleaving space was explored.
     [Complete] means DPOR drained the reduced interleaving space —
     clean is a proof (relative to the happens-before model, DESIGN.md).
     [Bounded] means the execution budget was hit after the
@@ -39,7 +38,6 @@ type finding = {
     records whether schedules within the preemption bound were still
     pending when the budget ran out. *)
 type exploration =
-  | Sampled
   | Complete of { executions : int }
   | Bounded of {
       executions : int;
@@ -50,7 +48,6 @@ type exploration =
 type t = {
   name : string;       (** program name, as reported in the summary *)
   backend : string;    (** ["check"] (dynamic) or ["analyze"] (static) *)
-  schedules : int;     (** schedules/executions explored dynamically *)
   findings : finding list;  (** deduplicated, sorted by rendered line *)
   source : Zr.Source.t option;
       (** the analysed source, when spans should render with carets *)
@@ -103,13 +100,18 @@ let error ~detail =
     span = None; verdict = None }
 
 let exploration_verdict = function
-  | Sampled -> "SAMPLED"
   | Complete _ -> "COMPLETE"
   | Bounded _ -> "BOUNDED"
 
+(** Dynamic executions explored; 0 when no dynamic pass ran. *)
+let executions t =
+  match t.exploration with
+  | Some (Complete { executions } | Bounded { executions; _ }) -> executions
+  | None -> 0
+
 (** Assemble a report: drop exact-duplicate lines (the same race found
-    under several schedules), then sort for output stability. *)
-let make ?(backend = "check") ?source ?exploration ~name ~schedules findings =
+    in several executions), then sort for output stability. *)
+let make ?(backend = "check") ?source ?exploration ~name findings =
   let seen = Hashtbl.create 16 in
   let uniq =
     List.filter
@@ -121,12 +123,11 @@ let make ?(backend = "check") ?source ?exploration ~name ~schedules findings =
         end)
       findings
   in
-  { name; backend; schedules; findings = List.sort compare uniq; source;
-    exploration }
+  { name; backend; findings = List.sort compare uniq; source; exploration }
 
 (** Cross-backend dedup: keep every static finding, and only the
     dynamic findings whose id the static pass did not already prove.
-    The result renders under the dynamic report's name/schedules but
+    The result renders under the dynamic report's name/exploration but
     keeps the static report's source for caret rendering. *)
 let merge ~(static : t) ~(dynamic : t) : t =
   let proved = Hashtbl.create 16 in
@@ -136,7 +137,6 @@ let merge ~(static : t) ~(dynamic : t) : t =
   in
   { name = dynamic.name;
     backend = dynamic.backend;
-    schedules = dynamic.schedules;
     findings = List.sort compare (static.findings @ kept);
     source = static.source;
     exploration = dynamic.exploration }
@@ -148,24 +148,21 @@ let errors t = List.filter (fun f -> f.kind = Error) t.findings
 let clean t = t.findings = []
 
 (** Exit code discipline shared by [zrc analyze] and [zrc check]:
-    0 clean with a complete (or merely sampled — the historical
-    behaviour) exploration, 2 findings, and 1 for a clean report whose
-    DPOR exploration was budget-bounded — a truncated search must not
-    read as a proof, so CI can tell 0 ("proven clean") from 1 ("no
-    finding yet, search incomplete"). *)
+    0 clean with a complete exploration (or none), 2 findings, and 1
+    for a clean report whose DPOR exploration was budget-bounded — a
+    truncated search must not read as a proof, so CI can tell 0
+    ("proven clean") from 1 ("no finding yet, search incomplete"). *)
 let exit_code t =
   if not (clean t) then 2
   else
     match t.exploration with
     | Some (Bounded _) -> 1
-    | Some (Complete _) | Some Sampled | None -> 0
+    | Some (Complete _) | None -> 0
 
 let summary t =
   Printf.sprintf "%s: %s: %d finding(s)%s" t.backend t.name
     (List.length t.findings)
     (match t.exploration with
-     | Some Sampled ->
-         Printf.sprintf ", %d schedule(s) explored [SAMPLED]" t.schedules
      | Some (Complete { executions }) ->
          Printf.sprintf ", %d execution(s) explored [COMPLETE]" executions
      | Some (Bounded { executions; preempt_bound; within_bound_left }) ->
@@ -173,10 +170,7 @@ let summary t =
            ", %d execution(s) explored [BOUNDED preempt<=%d%s]" executions
            preempt_bound
            (if within_bound_left then ", truncated" else "")
-     | None ->
-         if t.backend = "check" then
-           Printf.sprintf ", %d schedule(s) explored" t.schedules
-         else "")
+     | None -> if t.backend = "check" then ", 0 schedule(s) explored" else "")
 
 (* Caret rendering: the source line under the finding with ^^^ under
    the span.  Only findings that carry a span (static ones) get it. *)
@@ -248,7 +242,6 @@ let finding_to_json t f =
     static analyser's advisory (non-verdict-affecting) findings; the
     dynamic checker has none. *)
 let exploration_to_json = function
-  | Sampled -> "{\"verdict\": \"SAMPLED\"}"
   | Complete { executions } ->
       Printf.sprintf "{\"verdict\": \"COMPLETE\", \"executions\": %d}"
         executions
@@ -268,7 +261,7 @@ let to_json ?(may = []) t =
       Printf.sprintf ", \"name\": \"%s\"" (json_escape t.name);
       Printf.sprintf ", \"clean\": %b" (clean t);
       Printf.sprintf ", \"exit\": %d" (exit_code t);
-      Printf.sprintf ", \"schedules\": %d" t.schedules;
+      Printf.sprintf ", \"schedules\": %d" (executions t);
       (match t.exploration with
        | None -> ""
        | Some e ->

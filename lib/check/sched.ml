@@ -9,26 +9,15 @@
     documented in DESIGN.md, and every traced access is fed to the
     {!Race} detector under that ordering.
 
-    Schedule exploration works by charging simulated time to accesses:
-    the DES scheduler always runs the runnable thread with the smallest
-    clock, so varying the per-access cost varies the interleaving while
-    keeping every run fully deterministic.  [Uniform] advances every
-    thread in lockstep (maximal fine-grained interleaving); [Skewed k]
-    gives team members rotated relative speeds so each sync point is
-    reached in a different order; [Seeded s] draws costs from a seeded
-    PRNG. *)
+    Every run is controlled by a {!Dpor} execution: the DES scheduler
+    asks it which runnable virtual thread to resume at each scheduling
+    point, so a decision prefix fixes the interleaving and the run is
+    fully deterministic. *)
 
 module Des = Sim.Des
 module V = Interp.Value
 module Rt = Interp.Rt
 module B = Interp.Builtins
-
-type mode = Uniform | Skewed of int | Seeded of int
-
-let mode_name = function
-  | Uniform -> "uniform"
-  | Skewed k -> Printf.sprintf "skewed:%d" k
-  | Seeded s -> Printf.sprintf "seeded:%d" s
 
 (* ----------------------------- state ------------------------------ *)
 
@@ -78,10 +67,8 @@ type session = {
   des : Des.t;
   nthreads : int;               (* configured default team size *)
   initial_icvs : Omprt.Icv.t;   (* virtual thread 0's starting frame *)
-  mode : mode;
-  ctl : Dpor.exec option;       (* DPOR-controlled run, else sampled *)
+  ctl : Dpor.exec;              (* the execution deciding this run *)
   mutable nteams : int;         (* teams forked so far, for team uids *)
-  rng : Random.State.t option;
   race : Race.t;
   mutable findings : Report.finding list;
   mutable threads : tstate option array;     (* by vthread id *)
@@ -93,7 +80,6 @@ type session = {
       (* copyprivate broadcasts by (team uid, single epoch): value and
          the claimer's clock at the put *)
   mutable orphan_cp : V.t option;  (* copyprivate outside any region *)
-  output : Buffer.t;            (* captured [print] output *)
 }
 
 let new_frame ?(single_seen = 0) ?(loop_epoch = 0) team ~tid icvs =
@@ -138,34 +124,17 @@ let active_levels ts =
 let group_threads ts =
   List.fold_left (fun acc f -> acc + (f.team.size - 1)) 1 ts.frames
 
-(* ------------------------ schedule perturbation ------------------- *)
+(* ------------------------ scheduling points ----------------------- *)
 
-(* Charge simulated time to the current access; the DES min-clock rule
-   turns the cost profile into an interleaving. *)
-let pause sess ts =
-  if ts.frames <> [] then
-    let dt =
-      match sess.mode with
-      | Uniform -> 1.0
-      | Skewed k ->
-          let tid = match ts.frames with f :: _ -> f.tid | [] -> 0 in
-          1.0 +. float_of_int ((tid + k) mod 5)
-      | Seeded _ ->
-          (match sess.rng with
-           | Some st -> 0.5 +. Random.State.float st 2.0
-           | None -> 1.0)
-    in
-    Des.advance sess.des dt
+(* A scheduling point inside a region: the DPOR execution decides which
+   thread runs next. *)
+let pause sess ts = if ts.frames <> [] then Des.advance sess.des 1.0
 
-(* Report a visible operation to the DPOR engine (controlled runs
-   only); must run after the [pause] of the same operation, so the
-   event lands on the decision that resumed this thread. *)
+(* Report a visible operation to the DPOR engine; must run after the
+   [pause] of the same operation, so the event lands on the decision
+   that resumed this thread. *)
 let note sess ts ~obj ~kind =
-  match sess.ctl with
-  | Some ex -> Dpor.record ex ~gid:ts.gid ~vc:ts.vc ~obj ~kind
-  | None -> ()
-
-let controlled sess = sess.ctl <> None
+  Dpor.record sess.ctl ~gid:ts.gid ~vc:ts.vc ~obj ~kind
 
 (* --------------------------- the tracer --------------------------- *)
 
@@ -196,7 +165,7 @@ let rec wait_team_tasks sess team =
     wait_team_tasks sess team
   end
 
-let release_barrier sess team =
+let release_barrier team =
   join_task_finals team team.bar_vc;
   let blocked = List.rev team.bar_blocked in
   let bvc = team.bar_vc in
@@ -209,8 +178,7 @@ let release_barrier sess team =
       Vc.join ts.vc bvc;
       Vc.tick ts.vc ts.gid;
       wake ~at)
-    blocked;
-  ignore sess
+    blocked
 
 let note_divergence sess team =
   if not team.diverged then begin
@@ -242,7 +210,7 @@ let barrier sess ts =
           join_task_finals team team.bar_vc;
           Vc.join ts.vc team.bar_vc;
           Vc.tick ts.vc ts.gid;
-          release_barrier sess team
+          release_barrier team
         end
         else
           (* not full yet — or full but outstanding explicit tasks keep
@@ -261,7 +229,7 @@ let member_done sess (fr : frame) =
      && List.length team.bar_blocked + team.done_members >= team.size
   then begin
     note_divergence sess team;
-    release_barrier sess team
+    release_barrier team
   end
 
 (* --------------------------- fork/join ---------------------------- *)
@@ -354,7 +322,7 @@ let acquire sess ts ~lname (m, lvc) =
   Des.Smutex.lock m;
   Vc.join ts.vc lvc
 
-let release _sess ts (m, lvc) =
+let release ts (m, lvc) =
   Vc.join lvc ts.vc;
   Vc.tick ts.vc ts.gid;
   Des.Smutex.unlock m
@@ -377,7 +345,7 @@ let ai_vc sess a =
       sess.ai <- (a, v) :: sess.ai;
       v
 
-let atomic_sync _sess ts cvc ~combine =
+let atomic_sync ts cvc ~combine =
   Vc.join ts.vc cvc;
   if combine then begin
     Vc.join cvc ts.vc;
@@ -490,13 +458,13 @@ let on_builtin sess ~call fname args : V.t option =
            acquire sess ts ~lname:name (lock_of sess name);
            Some V.VUnit
        | "__kmpc_end_critical", [ V.VStr name ] ->
-           release sess ts (lock_of sess name);
+           release ts (lock_of sess name);
            Some V.VUnit
        | "__kmpc_atomic_begin", [] ->
            acquire sess ts ~lname:"<atomic>" sess.atomic_lock;
            Some V.VUnit
        | "__kmpc_atomic_end", [] ->
-           release sess ts sess.atomic_lock;
+           release ts sess.atomic_lock;
            Some V.VUnit
        | "__kmpc_single", [] ->
            (match ts.frames with
@@ -505,12 +473,10 @@ let on_builtin sess ~call fname args : V.t option =
                 let e = fr.single_seen in
                 fr.single_seen <- e + 1;
                 (* which thread claims a single is schedule-sensitive:
-                   under DPOR the claim is a visible contended op *)
-                if controlled sess then begin
-                  pause sess ts;
-                  note sess ts ~obj:(Dpor.Osingle (fr.team.uid, e))
-                    ~kind:Dpor.Kacquire
-                end;
+                   the claim is a visible contended op *)
+                pause sess ts;
+                note sess ts ~obj:(Dpor.Osingle (fr.team.uid, e))
+                  ~kind:Dpor.Kacquire;
                 if Hashtbl.mem fr.team.single_claims e then
                   Some (V.VBool false)
                 else begin
@@ -566,7 +532,7 @@ let on_builtin sess ~call fname args : V.t option =
                       if team.bar_blocked <> []
                          && List.length team.bar_blocked + team.done_members
                             >= team.size
-                      then release_barrier sess team
+                      then release_barrier team
                     end);
                 (* separate the creator's later events from the spawn *)
                 Vc.tick ts.vc ts.gid
@@ -638,33 +604,26 @@ let on_builtin sess ~call fname args : V.t option =
            let _, tid, _ = ctx ts in
            Some (V.VInt tid)
        | "__omp_atomic_load", [ V.VAtomicF a ] ->
-           if controlled sess then begin
-             pause sess ts;
-             note sess ts ~obj:(Dpor.Oatomf a) ~kind:Dpor.Kload
-           end;
-           atomic_sync sess ts (af_vc sess a) ~combine:false;
+           pause sess ts;
+           note sess ts ~obj:(Dpor.Oatomf a) ~kind:Dpor.Kload;
+           atomic_sync ts (af_vc sess a) ~combine:false;
            None
        | "__omp_atomic_load", [ V.VAtomicI a ] ->
-           if controlled sess then begin
-             pause sess ts;
-             note sess ts ~obj:(Dpor.Oatomi a) ~kind:Dpor.Kload
-           end;
-           atomic_sync sess ts (ai_vc sess a) ~combine:false;
+           pause sess ts;
+           note sess ts ~obj:(Dpor.Oatomi a) ~kind:Dpor.Kload;
+           atomic_sync ts (ai_vc sess a) ~combine:false;
            None
        | _, (V.VAtomicF a :: _) when is_combine fname ->
            pause sess ts;
            note sess ts ~obj:(Dpor.Oatomf a) ~kind:Dpor.Kcombine;
-           atomic_sync sess ts (af_vc sess a) ~combine:true;
+           atomic_sync ts (af_vc sess a) ~combine:true;
            None
        | _, (V.VAtomicI a :: _) when is_combine fname ->
            pause sess ts;
            note sess ts ~obj:(Dpor.Oatomi a) ~kind:Dpor.Kcombine;
-           atomic_sync sess ts (ai_vc sess a) ~combine:true;
+           atomic_sync ts (ai_vc sess a) ~combine:true;
            None
-       | "print", [ v ] ->
-           Buffer.add_string sess.output (V.to_string v);
-           Buffer.add_char sess.output '\n';
-           Some V.VUnit
+       | "print", [ _ ] -> Some V.VUnit  (* checked runs print nothing *)
        | _ -> None)
 
 let on_omp sess meth args : V.t option =
@@ -727,16 +686,16 @@ let on_omp sess meth args : V.t option =
 
 (* --------------------------- driving ------------------------------ *)
 
-(* Run one execution: load the program with the hooks uninstalled (so
-   global initialisation is untraced), install tracer + interceptor +
-   virtual-thread TLS keying, execute [run prog] on virtual thread 0,
-   and collect findings.  Hook installation is globally exclusive —
-   the checker is single-domain by construction.  With [ctl] the DES
-   runs in controlled mode: the DPOR execution decides every
-   scheduling point instead of the min-clock rule. *)
-let run_session ~(load : unit -> Interp.program)
-    ~(run : Interp.program -> unit) ~mode ~nthreads ~ctl () :
-    Report.finding list * string =
+(** Run one DPOR-controlled execution: load the program with the hooks
+    uninstalled (so global initialisation is untraced), install tracer
+    + interceptor + virtual-thread TLS keying, execute [run prog] on
+    virtual thread 0 and return its findings.  [ex]'s forced prefix
+    decides the first scheduling points, then the default
+    continuation; the events and backtrack candidates land in [ex].
+    Hook installation is globally exclusive — the checker is
+    single-domain by construction. *)
+let run_controlled ~(load : unit -> Interp.program)
+    ~(run : Interp.program -> unit) ~nthreads ~ex () : Report.finding list =
   let prog = load () in
   let des = Des.create () in
   let src = prog.Interp.ast.Zr.Ast.source in
@@ -746,24 +705,14 @@ let run_session ~(load : unit -> Interp.program)
   let initial_icvs = Omprt.Icv.copy Omprt.Icv.global in
   initial_icvs.Omprt.Icv.nthreads <- nthreads;
   let sess =
-    { des; nthreads; initial_icvs; mode; ctl; nteams = 0;
-      rng =
-        (match mode with
-         | Seeded s -> Some (Random.State.make [| s; 0x5eed |])
-         | _ -> None);
-      race = Race.create ~src ~dpor:ctl;
+    { des; nthreads; initial_icvs; ctl = ex; nteams = 0;
+      race = Race.create ~src ~dpor:ex;
       findings = []; threads = [||];
       locks = Hashtbl.create 8;
       atomic_lock = (Des.Smutex.create des, Vc.create ());
-      af = []; ai = []; cp_slots = Hashtbl.create 8; orphan_cp = None;
-      output = Buffer.create 256 }
+      af = []; ai = []; cp_slots = Hashtbl.create 8; orphan_cp = None }
   in
-  let label =
-    match ctl with Some _ -> "dpor" | None -> mode_name mode
-  in
-  (match ctl with
-   | Some ex -> Des.set_decide des (fun ids -> Dpor.decide ex ~enabled:ids)
-   | None -> ());
+  Des.set_decide des (fun ids -> Dpor.decide ex ~enabled:ids);
   Rt.tracer := Some { Rt.trace = on_trace sess };
   Rt.escaped := [];
   B.interceptor :=
@@ -793,21 +742,11 @@ let run_session ~(load : unit -> Interp.program)
       (try ignore (Des.run des) with
        | Des.Deadlock msg ->
            sess.findings <-
-             Report.error ~detail:(label ^ ": " ^ msg) :: sess.findings
+             Report.error ~detail:("dpor: " ^ msg) :: sess.findings
        | V.Runtime_error msg ->
            sess.findings <-
-             Report.error ~detail:(label ^ ": " ^ msg) :: sess.findings
+             Report.error ~detail:("dpor: " ^ msg) :: sess.findings
        | Zr.Source.Error msg ->
            sess.findings <-
-             Report.error ~detail:(label ^ ": " ^ msg) :: sess.findings));
-  (Race.findings sess.race @ sess.findings, Buffer.contents sess.output)
-
-(** Run one sampled schedule (the legacy 7-schedule mode). *)
-let run_schedule ~load ~run ~mode ~nthreads () =
-  run_session ~load ~run ~mode ~nthreads ~ctl:None ()
-
-(** Run one DPOR-controlled execution: [ex]'s forced prefix decides the
-    first scheduling points, then the default continuation; the events
-    and backtrack candidates land in [ex]. *)
-let run_controlled ~load ~run ~nthreads ~ex () =
-  run_session ~load ~run ~mode:Uniform ~nthreads ~ctl:(Some ex) ()
+             Report.error ~detail:("dpor: " ^ msg) :: sess.findings));
+  Race.findings sess.race @ sess.findings

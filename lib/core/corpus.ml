@@ -148,12 +148,7 @@ let kernel_entry ~mode ~config ~no_static (name, source) =
 
 (* --------------------------- the sweep ---------------------------- *)
 
-let executions (r : Report.t) =
-  match r.Report.exploration with
-  | Some (Report.Complete { executions }) -> executions
-  | Some (Report.Bounded { executions; _ }) -> executions
-  | Some Report.Sampled -> r.Report.schedules
-  | None -> 0
+let executions = Report.executions
 
 (** Run the corpus: fixtures under [dir] in path order, then the NPB
     kernels (unless [kernels] is [false]).  A fixture whose check
@@ -168,7 +163,7 @@ let run ?(config = Check.default_config) ?(kernels = true)
     | Zr.Source.Error msg | Failure msg | Invalid_argument msg ->
         { path = name;
           report =
-            Report.make ~name ~schedules:0 [ Report.error ~detail:msg ];
+            Report.make ~name [ Report.error ~detail:msg ];
           may = [] }
   in
   let paths = discover dir in

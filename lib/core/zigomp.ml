@@ -205,13 +205,13 @@ let set_max_active_levels = Omprt.Api.set_max_active_levels
 
 let get_max_active_levels = Omprt.Api.get_max_active_levels
 
-(** The race detector and schedule-exploration checker ([zrc --check]):
+(** The race detector and DPOR interleaving checker ([zrc --check]):
     findings, configuration, and the lower-level passes. *)
 module Checker = Check
 
 (** [check ?name ?config source] — run the full checker over a Zr
     program: execution-free lints, then the dynamic vector-clock race
-    detector across the configured schedule set.  Deterministic for a
+    detector over the executions DPOR explores.  Deterministic for a
     fixed configuration; see {!Checker} for the report structure. *)
 let check ?name ?config source : Check.Report.t =
   Check.check_source ?name ?config source

@@ -158,8 +158,12 @@ let plan_loop (c : Synth.ctx) dir : Synth.replacement =
   let fp = List.map name_of cl.firstprivate in
   let reds = List.map (fun (op, n) -> (op, name_of n)) cl.reductions in
   (* Rewriting map: privatise the counter(s), redirect reduction vars to
-     their thread-local temporaries. *)
+     their thread-local temporaries.  A privatised pointer rebinding (a
+     region's shared variable) is redeclared as a local value, so its
+     [x__ptr.*] accesses fold back to the plain name, as in {!Outline}
+     and {!Tasking}. *)
   let red_tmp x = "__omp_red_" ^ x in
+  let folded = Outline.folded (fp @ priv) in
   let map name =
     match level_of name with
     | Some 0 -> Some (if collapsed then cname 0 else "__omp_iv")
@@ -167,6 +171,7 @@ let plan_loop (c : Synth.ctx) dir : Synth.replacement =
     | None ->
         if List.exists (fun (_, x) -> x = name) reds then
           Some (red_tmp name)
+        else if Names.Sset.mem name folded then Some name
         else None
   in
   let consume name = map name <> None in

@@ -30,12 +30,21 @@ let is_ptr_name name =
     need a dereference. *)
 let value_text name = if is_ptr_name name then name ^ ".*" else name
 
+(** The pointer rebindings among privatised [names]: each is rebound to
+    a local value of the same name, and its [x__ptr.*] accesses fold
+    back to the plain name (through [Synth.rewrite_range
+    ~consume_deref]). *)
+let folded names = Sset.of_list (List.filter is_ptr_name names)
+
 let atomic_combine_fn = function
   | Ompfront.Directive.Radd -> "__omp_atomic_combine_add"
   | Ompfront.Directive.Rsub -> "__omp_atomic_combine_add"
   | Ompfront.Directive.Rmul -> "__omp_atomic_combine_mul"
   | Ompfront.Directive.Rmin -> "__omp_atomic_combine_min"
   | Ompfront.Directive.Rmax -> "__omp_atomic_combine_max"
+
+(** The fields of a struct literal, one per name. *)
+let field_list names f = String.concat ", " (List.map f names)
 
 type plan = {
   replacement : Synth.replacement;
@@ -70,7 +79,14 @@ let plan_region (c : Synth.ctx) ~counter dir : plan =
       "default(none): variables %s are referenced but have no sharing \
        clause"
       (String.concat ", " (Sset.elements implicit));
-  let shared = sh_explicit @ Sset.elements implicit in
+  (* A name that is already a pointer rebinding (an enclosing region's
+     shared variable) is shared by copying the pointer itself, with no
+     rewrite; privatised, it is {!folded}.  {!Loops} and {!Tasking}
+     apply the same rule. *)
+  let sh_ptr, shared =
+    List.partition is_ptr_name (sh_explicit @ Sset.elements implicit)
+  in
+  let folded = folded (fp @ priv @ red_names) in
   let fn_name = Printf.sprintf "__omp_outlined_%d" counter in
   (* ---- call site ---- *)
   let b = Buffer.create 256 in
@@ -80,10 +96,12 @@ let plan_region (c : Synth.ctx) ~counter dir : plan =
     (fun (_, x) ->
       bpf "    var __omp_red_%s = __omp_atomic_new(%s);\n" x (value_text x))
     reds;
-  let field_list names f =
-    String.concat ", " (List.map f names)
+  let fp_fields =
+    field_list
+      (List.map (fun x -> (x, value_text x)) fp
+       @ List.map (fun x -> (x, x)) sh_ptr)
+      (fun (x, v) -> Printf.sprintf ".%s = %s" x v)
   in
-  let fp_fields = field_list fp (fun x -> Printf.sprintf ".%s = %s" x (value_text x)) in
   let sh_fields =
     field_list shared (fun x -> Printf.sprintf ".%s = &%s" x (value_text x))
   in
@@ -111,8 +129,10 @@ let plan_region (c : Synth.ctx) ~counter dir : plan =
     Synth.rewrite_range c
       ~first_token:(Synth.node_first_token c region)
       ~last_token:(Synth.node_last_token c region)
+      ~consume_deref:(fun name -> Sset.mem name folded)
       ~code:(fun name ->
         if Sset.mem name shared_set then Some (name ^ ptr_suffix ^ ".*")
+        else if Sset.mem name folded then Some name
         else None)
       ~pragma:(fun name ->
         if Sset.mem name shared_set then Some (name ^ ptr_suffix)
@@ -122,7 +142,7 @@ let plan_region (c : Synth.ctx) ~counter dir : plan =
   let o = Buffer.create 256 in
   let opf fmt = Printf.ksprintf (Buffer.add_string o) fmt in
   opf "fn %s(fp: anytype, sh: anytype, red: anytype) void {\n" fn_name;
-  List.iter (fun x -> opf "    var %s = fp.%s;\n" x x) fp;
+  List.iter (fun x -> opf "    var %s = fp.%s;\n" x x) (fp @ sh_ptr);
   List.iter (fun x -> opf "    var %s%s = sh.%s;\n" x ptr_suffix x) shared;
   List.iter (fun x -> opf "    var %s = undefined;\n" x) priv;
   List.iter

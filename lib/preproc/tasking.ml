@@ -124,20 +124,17 @@ let plan_task (c : Synth.ctx) ~counter dir : plan =
   (* Explicit firstprivate/private of a pointer rebinding rebinds the
      name to a task-local value; the body's [x__ptr.*] accesses fold
      back to the plain name by swallowing the dereference. *)
-  let folded =
-    Sset.of_list (List.filter Outline.is_ptr_name (fp @ priv))
-  in
+  let folded = Outline.folded (fp @ priv) in
   let fn_name = Printf.sprintf "__omp_task_%d" counter in
   (* ---- creation site ---- *)
-  let field_list names f = String.concat ", " (List.map f names) in
   let fp_fields =
-    field_list
+    Outline.field_list
       (List.map (fun x -> (x, Outline.value_text x)) fp
        @ List.map (fun x -> (x, x)) byval)
       (fun (x, v) -> Printf.sprintf ".%s = %s" x v)
   in
   let sh_fields =
-    field_list sh_plain
+    Outline.field_list sh_plain
       (fun x -> Printf.sprintf ".%s = &%s" x (Outline.value_text x))
   in
   let text =

@@ -26,9 +26,10 @@ let analyze_file name =
   let path = Filename.concat examples_dir name in
   Zigomp.analyze ~name (read_file path)
 
-let config ?(schedules = 3) ?(sync_sweep = true) () =
-  { Checker.nthreads = 4; schedules; seed = 42; sync_sweep; lint = true;
-    exploration = Checker.Sampled }
+(* A small DPOR budget: seven executions at four threads. *)
+let config () =
+  { Checker.nthreads = 4; lint = true;
+    exploration = Checker.Dpor { max_execs = 7; preempt_bound = 2 } }
 
 let lines_of (r : Report.t) =
   List.map (fun (f : Report.finding) -> f.Report.line) r.Report.findings
@@ -415,8 +416,7 @@ let prop_static_vs_dynamic =
    analyser must PROVE with an id DPOR also reports. *)
 
 let dpor_config ?(max_execs = 64) () =
-  { Checker.nthreads = 2; schedules = 3; seed = 42; sync_sweep = true;
-    lint = true;
+  { Checker.nthreads = 2; lint = true;
     exploration = Checker.Dpor { max_execs; preempt_bound = 2 } }
 
 let check_task_fn src =

@@ -18,14 +18,12 @@ let examples_dir =
   (* the test binary runs in _build/default/test *)
   Filename.concat (Filename.concat ".." "examples") "zr"
 
-let config ?(schedules = 3) ?(sync_sweep = true) () =
-  (* the historical tests pin the sampled-schedule behaviour *)
-  { Checker.nthreads = 4; schedules; seed = 42; sync_sweep; lint = true;
-    exploration = Checker.Sampled }
-
 let dpor_config ?(nthreads = 2) ?(max_execs = 256) ?(preempt_bound = 2) () =
-  { Checker.nthreads; schedules = 3; seed = 42; sync_sweep = true;
-    lint = true; exploration = Checker.Dpor { max_execs; preempt_bound } }
+  { Checker.nthreads; lint = true;
+    exploration = Checker.Dpor { max_execs; preempt_bound } }
+
+(* The fixture tests' small budget: seven executions at four threads. *)
+let config ?(max_execs = 7) () = dpor_config ~nthreads:4 ~max_execs ()
 
 let check_file ?config:(cfg = config ()) name =
   let path = Filename.concat examples_dir name in
@@ -93,9 +91,9 @@ let test_clean_twins () =
       "task_taskwait.zr" ]
 
 let test_stock_examples_clean () =
-  (* reduced schedule set to keep the test quick; the CI job runs the
-     full default configuration over every example *)
-  let cfg = config ~schedules:1 ~sync_sweep:false () in
+  (* a two-execution budget keeps the test quick; the CI job checks
+     every example with a larger one *)
+  let cfg = config ~max_execs:2 () in
   List.iter
     (fun name ->
       let r = check_file ~config:cfg name in
@@ -104,7 +102,7 @@ let test_stock_examples_clean () =
     [ "histogram.zr"; "jacobi.zr" ]
 
 let test_mandelbrot_clean () =
-  let cfg = config ~schedules:1 ~sync_sweep:false () in
+  let cfg = config ~max_execs:2 () in
   let r = check_file ~config:cfg "mandelbrot.zr" in
   Alcotest.(check (list string)) "mandelbrot.zr: no findings" []
     (lines_of r)
@@ -155,7 +153,7 @@ let test_default_none_lint () =
        (fun l -> contains l "default-none" && contains l "n")
        (lines_of r));
   (* static finding: nothing executes *)
-  Alcotest.(check int) "no schedules explored" 0 r.Report.schedules
+  Alcotest.(check int) "no executions explored" 0 (Report.executions r)
 
 (* ---- determinism -------------------------------------------------- *)
 
@@ -214,15 +212,11 @@ let test_dpor_clean_twins_complete () =
           "task_taskwait.zr" ])
     [ 2; 3 ]
 
-(* The regression the sampler can never catch: hidden_handoff.zr only
-   races when thread 0 wins a critical-section handoff, an order the
-   seven cost-based schedules provably never execute (thread 0 pays 32
-   traced writes before its acquire).  DPOR must find it; the sampler
-   must stay quiet; the lock-ordered twin must be COMPLETE-clean. *)
+(* hidden_handoff.zr only races when thread 0 wins a critical-section
+   handoff although it makes 32 traced writes before its acquire: only a
+   lock-handoff reorder exposes the race.  DPOR must find it; the
+   lock-ordered twin must be COMPLETE-clean. *)
 let test_dpor_hidden_handoff () =
-  let sampled = check_file ~config:(config ()) "dpor/hidden_handoff.zr" in
-  Alcotest.(check (list string)) "sampled schedules miss the race" []
-    (lines_of sampled);
   let r = check_file ~config:(dpor_config ()) "dpor/hidden_handoff.zr" in
   Alcotest.(check bool) "DPOR reports the race on data" true
     (List.exists
@@ -252,7 +246,7 @@ let test_dpor_deterministic () =
     [ "racy/shared_counter.zr"; "dpor/hidden_handoff.zr" ]
 
 (* Exit-code discipline: findings -> 2; a clean but truncated search is
-   only a partial proof -> 1; a clean COMPLETE (or sampled) run -> 0. *)
+   only a partial proof -> 1; a clean COMPLETE run -> 0. *)
 let test_dpor_exit_codes () =
   let code ?config:(cfg = dpor_config ()) name =
     Report.exit_code (check_file ~config:cfg name)
@@ -262,11 +256,9 @@ let test_dpor_exit_codes () =
   Alcotest.(check int) "BOUNDED clean -> 1" 1
     (code
        ~config:(dpor_config ~nthreads:3 ~max_execs:4 ())
-       "clean/atomic_counter.zr");
-  Alcotest.(check int) "sampled clean -> 0" 0
-    (code ~config:(config ()) "clean/reduction.zr")
+       "clean/atomic_counter.zr")
 
-(* ---- differential property: DPOR vs sampling ---------------------- *)
+(* ---- differential property: DPOR vs random schedules -------------- *)
 
 module G = QCheck2.Gen
 
@@ -322,28 +314,40 @@ let race_ids r =
   List.sort_uniq compare
     (List.map (fun (f : Report.finding) -> f.Report.id) (Report.races r))
 
+(* Race ids of one execution at two threads under a forced decision
+   prefix.  A forced choice that is not runnable falls back to DPOR's
+   default, so every prefix drives a real execution of the model. *)
+let prefix_race_ids src prefix =
+  let ast = Interp.parse ~name:"rand.zr" src in
+  let load () = Interp.of_ast ast in
+  let run prog = ignore (Interp.run_main prog) in
+  Checker.Sched.run_controlled ~load ~run ~nthreads:2
+    ~ex:(Checker.Dpor.new_exec ~prefix) ()
+  |> List.filter (fun (f : Report.finding) -> f.Report.kind = Report.Race)
+  |> List.map (fun (f : Report.finding) -> f.Report.id)
+
 (* When the DPOR search completes, it has covered every Mazurkiewicz
-   trace class — so it must report (at least) every race any sampled
-   schedule can observe.  In particular COMPLETE + clean means the
-   sampler is provably quiet.  A BOUNDED run makes no containment
-   claim, so those cases pass vacuously. *)
+   trace class — so it must report (at least) every race any execution
+   can show.  The reference is seven executions under random decision
+   prefixes.  A BOUNDED run makes no containment claim, so those cases
+   pass vacuously. *)
 let prop_dpor_superset =
-  QCheck2.Test.make ~name:"DPOR findings contain sampled findings" ~count:25
-    ~print:(fun s -> s) program_gen
-    (fun src ->
-      let sampled_cfg =
-        { Checker.nthreads = 2; schedules = 3; seed = 42; sync_sweep = true;
-          lint = true; exploration = Checker.Sampled }
-      in
-      let sampled = Zigomp.check ~name:"rand.zr" ~config:sampled_cfg src in
+  QCheck2.Test.make ~name:"DPOR findings contain sampled findings" ~count:200
+    ~print:(fun (src, _) -> src)
+    (G.pair program_gen
+       (G.list_repeat 7 (G.array_size (G.int_range 0 48) (G.int_range 0 1))))
+    (fun (src, prefixes) ->
       let dpor =
         Zigomp.check ~name:"rand.zr" ~config:(dpor_config ~max_execs:128 ())
           src
       in
       (not (is_complete dpor))
       || List.for_all
-           (fun id -> List.mem id (race_ids dpor))
-           (race_ids sampled))
+           (fun prefix ->
+             List.for_all
+               (fun id -> List.mem id (race_ids dpor))
+               (prefix_race_ids src prefix))
+           prefixes)
 
 (* ---- corpus batch mode -------------------------------------------- *)
 
@@ -506,7 +510,7 @@ fn main() i64 {
   let run prog = ignore (Interp.run_main prog) in
   let findings, stats =
     Checker.Dpor.explore ~max_execs:1 ~preempt_bound:2 ~run_one:(fun ex ->
-        fst (Checker.Sched.run_controlled ~load ~run ~nthreads:4 ~ex ()))
+        Checker.Sched.run_controlled ~load ~run ~nthreads:4 ~ex ())
   in
   let rec tasks n = if n < 2 then 0 else 2 + tasks (n - 1) + tasks (n - 2) in
   Alcotest.(check (list string)) "no findings" []
@@ -559,21 +563,6 @@ fn main() i64 {
   Alcotest.(check (list string)) "same-length arrays keep separate shadows"
     [] (lines_of clean)
 
-(* --preempt-bound alongside --sampled: the CLI must diagnose the
-   no-effect combination instead of silently dropping the bound. *)
-let test_sampled_bound_warning () =
-  (match Checker.no_effect_warning ~sampled:true ~preempt_bound:(Some 3) with
-   | Some msg ->
-       Alcotest.(check bool) "warning names the flag" true
-         (contains msg "--preempt-bound 3");
-       Alcotest.(check bool) "warning names the mode" true
-         (contains msg "--sampled")
-   | None -> Alcotest.fail "sampled + explicit bound must warn");
-  Alcotest.(check bool) "no warning without the flag" true
-    (Checker.no_effect_warning ~sampled:true ~preempt_bound:None = None);
-  Alcotest.(check bool) "no warning under DPOR" true
-    (Checker.no_effect_warning ~sampled:false ~preempt_bound:(Some 3) = None)
-
 let suite =
   [ Alcotest.test_case "racy fixtures report both locations" `Quick
       test_racy_fixtures;
@@ -601,7 +590,8 @@ let suite =
       test_dpor_deterministic;
     Alcotest.test_case "exit codes: 0/1/2 by verdict" `Quick
       test_dpor_exit_codes;
-    QCheck_alcotest.to_alcotest prop_dpor_superset;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |])
+      prop_dpor_superset;
     Alcotest.test_case "corpus: clean dir is clean" `Slow
       test_corpus_check_clean;
     Alcotest.test_case "corpus: exit is the max member exit" `Quick
@@ -613,8 +603,6 @@ let suite =
       test_corpus_missing_dir_errors;
     Alcotest.test_case "corpus: --no-static keeps PROVEN ids observable"
       `Slow test_corpus_no_static_subset;
-    Alcotest.test_case "sampled + preempt-bound warns" `Quick
-      test_sampled_bound_warning;
     Alcotest.test_case "task outside any region owns its ICVs" `Quick
       test_orphan_task_own_frame;
     Alcotest.test_case "taskwait wakes only on its last child" `Quick

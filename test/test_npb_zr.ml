@@ -94,14 +94,13 @@ let assert_clean what (r : Checker.Report.t) =
        (fun (f : Checker.Report.finding) -> f.Checker.Report.line)
        r.Checker.Report.findings)
 
-(* Reduced schedule sets: the cooperative vector-clocked interpreter
+(* Small execution budgets: the cooperative vector-clocked interpreter
    traces every access, so the checked problems are small — the
-   happens-before structure is identical at any size. *)
-let cfg ~schedules ~sync_sweep =
-  (* the kernels pin the sampled behaviour; the DPOR corpus covers them
-     systematically (see Corpus.kernel_sources) *)
-  { Checker.nthreads = 4; schedules; seed = 42; sync_sweep; lint = true;
-    exploration = Checker.Sampled }
+   happens-before structure is identical at any size.  The DPOR corpus
+   checks the kernels with a larger budget (see Corpus.kernel_sources). *)
+let cfg ~max_execs =
+  { Checker.nthreads = 4; lint = true;
+    exploration = Checker.Dpor { max_execs; preempt_bound = 2 } }
 
 let test_check_cg () =
   let entry prog =
@@ -109,7 +108,7 @@ let test_check_cg () =
   in
   assert_clean "conj_grad.zr"
     (Checker.check_run ~name:"conj_grad.zr"
-       ~config:(cfg ~schedules:1 ~sync_sweep:false)
+       ~config:(cfg ~max_execs:2)
        ~source:Harness.Zr_cg.conj_grad_src ~entry ())
 
 let test_check_ep () =
@@ -122,7 +121,7 @@ let test_check_ep () =
       in
       assert_clean "ep_main.zr"
         (Checker.check_run ~name:"ep_main.zr"
-           ~config:(cfg ~schedules:1 ~sync_sweep:true)
+           ~config:(cfg ~max_execs:5)
            ~source:Harness.Zr_ep.src ~entry ()))
 
 let test_check_is () =
@@ -141,7 +140,7 @@ let test_check_is () =
       in
       assert_clean "is_rank.zr"
         (Checker.check_run ~name:"is_rank.zr"
-           ~config:(cfg ~schedules:1 ~sync_sweep:true)
+           ~config:(cfg ~max_execs:5)
            ~source:Harness.Zr_is.src ~entry ()))
 
 let suite =

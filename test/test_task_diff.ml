@@ -315,6 +315,152 @@ fn main() i64 {
 |}))
     [ 1; 4 ]
 
+(* Clauses on a construct nested in a parallel region name that
+   region's shared variables, which outlining has rebound as pointers:
+   a shared one is passed on as the pointer, a privatised one becomes a
+   local value.  Nested regions run serialised, one per outer member. *)
+let nested_clause_cases =
+  [ ( "nested parallel uses a shared variable",
+      (fun nt -> V.VFloat (float_of_int nt)),
+      {|
+fn main() f64 {
+    var s: f64 = 0.0;
+    //$omp parallel shared(s)
+    {
+        //$omp parallel
+        {
+            //$omp atomic
+            s += 1.0;
+        }
+    }
+    return s;
+}
+|} );
+    ( "nested parallel firstprivate",
+      (fun nt -> V.VInt (6 * nt)),
+      {|
+fn main() i64 {
+    var s: i64 = 5;
+    var total: i64 = 0;
+    //$omp parallel shared(s, total)
+    {
+        //$omp parallel firstprivate(s)
+        {
+            s += 1;
+            //$omp atomic
+            total += s;
+        }
+    }
+    return total;
+}
+|} );
+    ( "nested parallel private",
+      (fun nt -> V.VInt (3 * nt)),
+      {|
+fn main() i64 {
+    var s: i64 = 5;
+    var total: i64 = 0;
+    //$omp parallel shared(s, total)
+    {
+        //$omp parallel private(s)
+        {
+            s = 3;
+            //$omp atomic
+            total += s;
+        }
+    }
+    return total;
+}
+|} );
+    ( "single around parallel reduction",
+      (fun _ -> V.VFloat 1.0),
+      {|
+fn main() f64 {
+    var s: f64 = 0.0;
+    //$omp parallel shared(s)
+    {
+        //$omp single
+        {
+            //$omp parallel reduction(+: s)
+            {
+                s += 1.0;
+            }
+        }
+    }
+    return s;
+}
+|} );
+    ( "single around parallel for reduction",
+      (fun _ -> V.VInt 28),
+      {|
+fn main() i64 {
+    var s: i64 = 0;
+    //$omp parallel shared(s)
+    {
+        //$omp single
+        {
+            var i: i64 = 0;
+            //$omp parallel for reduction(+: s)
+            while (i < 8) : (i += 1) {
+                s += i;
+            }
+        }
+    }
+    return s;
+}
+|} );
+    ( "for firstprivate of a shared variable",
+      (fun _ -> V.VInt 20),
+      {|
+fn main() i64 {
+    var x: i64 = 5;
+    var out = alloc_i64(4);
+    //$omp parallel shared(x, out)
+    {
+        var i: i64 = 0;
+        //$omp for firstprivate(x)
+        while (i < 4) : (i += 1) {
+            out[i] = x;
+        }
+    }
+    return out[0] + out[1] + out[2] + out[3];
+}
+|} );
+    ( "for private of a shared variable",
+      (fun _ -> V.VInt 13),
+      {|
+fn main() i64 {
+    var x: i64 = 3;
+    var out = alloc_i64(4);
+    //$omp parallel shared(x, out)
+    {
+        var i: i64 = 0;
+        //$omp for private(x)
+        while (i < 4) : (i += 1) {
+            x = i + 1;
+            out[i] = x;
+        }
+    }
+    return out[0] + out[1] + out[2] + out[3] + x;
+}
+|} ) ]
+
+let test_nested_clauses () =
+  let base = Omprt.Api.get_max_threads () in
+  Fun.protect ~finally:(fun () -> Omprt.Api.set_num_threads base)
+  @@ fun () ->
+  List.iter
+    (fun nt ->
+      Omprt.Api.set_num_threads nt;
+      List.iter
+        (fun (what, want, src) ->
+          check_tiers
+            (Printf.sprintf "%s, %d threads" what nt)
+            ~want:(Ok (want nt))
+            (tiers ~fname:"main" ~args:(fun () -> []) src))
+        nested_clause_cases)
+    [ 1; 4 ]
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_tasking_tiers;
     Alcotest.test_case "tasks in main own their ICVs on every tier" `Quick
@@ -324,4 +470,6 @@ let suite =
     Alcotest.test_case "assignment targets evaluate once on every tier"
       `Quick test_assign_target_once;
     Alcotest.test_case "nested parallel for runs on every tier" `Quick
-      test_nested_parallel_for ]
+      test_nested_parallel_for;
+    Alcotest.test_case "nested clauses on shared variables, every tier"
+      `Quick test_nested_clauses ]

@@ -9,7 +9,7 @@
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe table1 fig3     # just CG artefacts
      dune exec bench/main.exe micro           # bechamel microbenches
-     dune exec bench/main.exe interp          # AST walker vs staged compiler
+     dune exec bench/main.exe bytecode        # the three execution tiers
      dune exec bench/main.exe pool            # hot-team pool vs spawn-per-fork
      dune exec bench/main.exe ablation        # schedule/reduction ablations *)
 
@@ -151,13 +151,11 @@ let run_micro () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* The interpreter backends head-to-head: the same preprocessed Zr loop
-   bodies (a 1-D stencil sweep and a CSR spmv, the two shapes NPB CG
-   and the heat example lean on) executed by the tree walker and by the
-   staged closure compiler.  Per-iteration cost is what matters — the
-   loop body runs once per iteration of a worksharing loop — so results
-   are reported in ns/iteration and also written to BENCH_interp.json
-   for the perf trajectory across PRs.                                 *)
+(* The execution tiers head-to-head on two preprocessed Zr loop bodies:
+   a 1-D stencil sweep and a CSR spmv, the two shapes NPB CG and the
+   heat example lean on.  Per-iteration cost is what matters — the loop
+   body runs once per iteration of a worksharing loop — so results are
+   reported in ns/iteration.                                           *)
 
 let stencil_src =
   {|
@@ -202,72 +200,11 @@ let time_call prog fname args ~reps =
 let time_per_iter prog fname args ~iters ~reps =
   1e9 *. time_call prog fname args ~reps /. float_of_int iters
 
-let bench_interp () =
-  print_endline
-    "== interp: AST walker vs staged closure compiler (real execution, 1 \
-     thread) ==";
-  Zigomp.set_num_threads 1;
-  let case ~name ~src ~fname ~args ~iters ~reps =
-    let ast = Zigomp.compile ~backend:`Ast ~name:(name ^ ".zr") src in
-    let compiled = Zigomp.compile ~backend:`Compiled ~name:(name ^ ".zr") src in
-    let ast_ns = time_per_iter ast fname args ~iters ~reps in
-    let compiled_ns = time_per_iter compiled fname args ~iters ~reps in
-    let speedup = ast_ns /. compiled_ns in
-    Printf.printf "  %-14s %10.1f ns/iter (ast) %10.1f ns/iter (compiled) %8.1fx\n%!"
-      name ast_ns compiled_ns speedup;
-    (name, iters, ast_ns, compiled_ns, speedup)
-  in
-  let n = 4_096 in
-  let a = Array.init n (fun i -> float_of_int (i mod 7)) in
-  let b = Array.make n 0. in
-  let stencil_row =
-    case ~name:"stencil_body" ~src:stencil_src ~fname:"stencil"
-      ~args:[ Zigomp.Value.VInt n; Zigomp.Value.VFloatArr a;
-              Zigomp.Value.VFloatArr b ]
-      ~iters:(n - 2) ~reps:20
-  in
-  (* a small banded CSR matrix: 5 nonzeros per row *)
-  let nrows = 1_024 in
-  let band = 5 in
-  let rowstr = Array.init (nrows + 1) (fun r -> r * band) in
-  let colidx =
-    Array.init (nrows * band) (fun k ->
-        let r = k / band and d = k mod band in
-        (r + d * 17) mod nrows)
-  in
-  let av = Array.init (nrows * band) (fun k -> float_of_int (k mod 3)) in
-  let x = Array.init nrows (fun i -> float_of_int (i mod 5)) in
-  let y = Array.make nrows 0. in
-  let spmv_row =
-    case ~name:"spmv_body" ~src:spmv_src ~fname:"spmv"
-      ~args:[ Zigomp.Value.VInt nrows; Zigomp.Value.VFloatArr av;
-              Zigomp.Value.VIntArr colidx; Zigomp.Value.VIntArr rowstr;
-              Zigomp.Value.VFloatArr x; Zigomp.Value.VFloatArr y ]
-      ~iters:(nrows * band) ~reps:20
-  in
-  let json_row (name, iters, ast_ns, compiled_ns, speedup) =
-    Printf.sprintf
-      {|    { "kernel": %S, "iters_per_call": %d, "ast_ns_per_iter": %.2f, "compiled_ns_per_iter": %.2f, "speedup": %.2f }|}
-      name iters ast_ns compiled_ns speedup
-  in
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"interp\",\n  \"unit\": \"ns/iteration\",\n  \
-       \"results\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" (List.map json_row [ stencil_row; spmv_row ]))
-  in
-  let oc = open_out "BENCH_interp.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "  wrote BENCH_interp.json";
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* The third tier head-to-head: the same two loop bodies executed by
-   all three backends, plus the guard-elision ablation (bytecode with
-   the subscript-analysis elision disabled, so every array access runs
-   the guarded twin).  Written to BENCH_bytecode.json for the perf
-   trajectory and for CI's bytecode-not-slower-than-compiled gate.     *)
+(* Both bodies on all three backends, plus the guard-elision ablation
+   (bytecode with the subscript-analysis elision disabled, so every
+   array access runs the guarded twin).  Written to BENCH_bytecode.json
+   for the perf trajectory and for CI's bytecode-not-slower-than-
+   compiled gate.                                                      *)
 
 let bench_bytecode () =
   print_endline
@@ -912,7 +849,6 @@ let sections =
     ("fig4", fun () -> emit_figure Harness.Experiment.EP);
     ("fig5", fun () -> emit_figure Harness.Experiment.IS);
     ("micro", run_micro);
-    ("interp", bench_interp);
     ("bytecode", bench_bytecode);
     ("transform", bench_transform);
     ("tasking", bench_tasking);

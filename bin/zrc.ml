@@ -172,7 +172,8 @@ let run_cmd =
              ~doc:"After the run, print the bytecode listing of every \
                    specialised loop body to stderr (drain label, \
                    per-instruction source lines, $(b,[unguarded]) \
-                   markers on guard-elided accesses).  Implies \
+                   markers on guard-elided accesses), and for each loop \
+                   body that stayed on closures the reason.  Implies \
                    $(b,--backend bytecode) unless a backend is given.")
   in
   let run file threads profile backend dump_bc =

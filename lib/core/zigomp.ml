@@ -167,9 +167,11 @@ let preprocessed_source (p : compiled) =
 (** The backend a program was staged for. *)
 let backend_of (p : compiled) : backend = p.backend
 
-(** Bytecode listings of every drain specialised so far (label ×
-    disassembly, specialisation order).  Empty for the other backends,
-    and before the program has run (specialisation is lazy). *)
+(** One listing per drain of the bytecode backend (label × listing,
+    compile order): the disassembly of each drain specialised so far,
+    or ["closures: <reason>"] for each drain that stayed on the closure
+    tier.  Empty for the other backends; a drain that has not run yet
+    appears only if the planner refused it. *)
 let bc_listings (p : compiled) : (string * string) list =
   match p.cc with
   | Some cc -> Interp.Compile.bc_listings cc

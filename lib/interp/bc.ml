@@ -27,7 +27,17 @@
     the body runs unguarded opcodes.  If the check fails — the access
     *would* fault or the bounds are pathological — the chunk runs the
     fully guarded twin ([gcode]) instead, preserving exact fault
-    timing and messages. *)
+    timing and messages.
+
+    Beyond the one-operation opcodes, the emitter picks from a few
+    superinstructions that fold a whole statement or loop test into
+    one dispatch: [addcmple.br]/[addcmpge.br] (counter step and bounds
+    test on the back edge), [mulc.ld.fu], [acc.ld.fu],
+    [accmul.ld.ld.fu]/[accmul.ld.ld.f], [ldst.add.fu]/[ldst.add.iu],
+    [recover] (collapse(n) counter recovery), [addi.i] (int register
+    plus an immediate) and [accmul.ld.ldx.f] (the CSR gather
+    [s += a[k] * b[ix[k]]], guarded in the closure tier's order:
+    [a[k]], then [ix[k]], then [b[ix[k]]]). *)
 
 (* ------------------------------------------------------------------ *)
 (* Encoding: each instruction is [width] cells of an [int array] —
@@ -110,8 +120,11 @@ let op_ldst_add_iu = 48     (* arr[i+off] += ints[a]      [unguarded] *)
 let op_recover = 49         (* a <- b + ((iv / c) % d) * imm — the
                                collapse(n) counter-recovery statement;
                                traps like div.i then mod.i            *)
+let op_addi_i = 50          (* addi.i d a imm — ints[a] + imm         *)
+let op_accmul_ld_ldx_f = 51 (* s += a1[i] * a2[ix[i]], all three
+                               guarded: a1[i], ix[i], a2[ix[i]]       *)
 
-let n_ops = 50
+let n_ops = 52
 
 (* Comparison condition codes for cmp/cmpbr. *)
 let cc_lt = 0
@@ -206,7 +219,7 @@ let opcode_name = function
   | 43 -> "mulc.ld.fu" | 44 -> "acc.ld.fu"
   | 45 -> "accmul.ld.ld.fu" | 46 -> "accmul.ld.ld.f"
   | 47 -> "ldst.add.fu" | 48 -> "ldst.add.iu"
-  | 49 -> "recover"
+  | 49 -> "recover" | 50 -> "addi.i" | 51 -> "accmul.ld.ldx.f"
   | _ -> "???"
 
 let unguarded_op op =
@@ -289,6 +302,10 @@ let disasm_instr (p : program) code lines pc =
     | 49 ->
         Printf.sprintf "recover %s, %s + ((%s / %s) %% %s) * %d" (ir a)
           (ir b) (ir p.iv_reg) (ir c) (ir d) code.(pc + 5)
+    | 50 -> Printf.sprintf "addi.i %s, %s, %d" (ir a) (ir b) c
+    | 51 ->
+        Printf.sprintf "accmul.ld.ldx.f %s += %s[%s] * %s[%s[%s]]" (fr a)
+          (farr b) (ir c) (farr code.(pc + 5)) (iarr d) (ir c)
     | _ -> "???"
   in
   Printf.sprintf "  @%-4d L%-4d %s%s" pc lines.(pc / width) body

@@ -42,7 +42,9 @@ let ptr_hoistable (fr : V.t array) = function
   | V.PSlot (fr', _) -> fr' != fr
   | V.PElemF _ | V.PElemI _ -> false
 
-exception Shape
+(* A runtime shape outside the cached or specialisable program; the
+   reasons are constants, so a bailing entry formats no message. *)
+exception Shape of string
 
 (* ------------------------------------------------------------------ *)
 (* Entry: observe, specialise-or-reuse, validate, bind.                *)
@@ -54,7 +56,7 @@ let observe_caps (plan : Bcgen.plan) fr =
       | V.VInt _ -> `I
       | V.VFloat _ -> `F
       | V.VBool _ -> `B
-      | _ -> raise Shape)
+      | _ -> raise (Shape "a captured variable is not an int, float or bool"))
     plan.Bcgen.caps
 
 (* Resolve each indexed base to its runtime array (through the pointer
@@ -66,13 +68,13 @@ let observe_bases (plan : Bcgen.plan) fr =
         if deref then
           match fr.(slot) with
           | V.VPtr p when ptr_hoistable fr p -> Rt.ptr_read p
-          | _ -> raise Shape
+          | _ -> raise (Shape "an array pointer's target may move")
         else fr.(slot)
       in
       match v with
       | V.VFloatArr a -> `FA a
       | V.VIntArr a -> `IA a
-      | _ -> raise Shape)
+      | _ -> raise (Shape "an indexed value is not a float or int array"))
     plan.Bcgen.ubases
 
 let observe_derefs (plan : Bcgen.plan) fr =
@@ -83,9 +85,11 @@ let observe_derefs (plan : Bcgen.plan) fr =
           match Rt.ptr_read p with
           | V.VInt i -> `DI i
           | V.VFloat x -> `DF x
-          | _ -> raise Shape)
-      | _ -> raise Shape)
+          | _ -> raise (Shape "a dereferenced scalar is not an int or float"))
+      | _ -> raise (Shape "a dereferenced pointer's target may move"))
     plan.Bcgen.uderefs
+
+let mismatch = Shape "shapes differ from the cached specialisation"
 
 let enter (plan : Bcgen.plan) (fr : V.t array) : state option =
   match Atomic.get plan.Bcgen.cache with
@@ -105,21 +109,19 @@ let enter (plan : Bcgen.plan) (fr : V.t array) : state option =
           | Bcgen.Cfail -> None
           | Bcgen.Cnone -> (
               match Bcgen.specialize plan ~ckinds ~bbanks ~dkinds with
-              | Some p ->
+              | Ok p ->
                   if
                     Atomic.compare_and_set plan.Bcgen.cache Bcgen.Cnone
                       (Bcgen.Cprog p)
-                  then begin
-                    plan.Bcgen.on_spec p;
-                    Some p
-                  end
+                  then Some p
                   else (
                     (* lost the race: use the winner's program (it will
                        be validated against our shapes below) *)
                     match Atomic.get plan.Bcgen.cache with
                     | Bcgen.Cprog p' -> Some p'
                     | _ -> None)
-              | None ->
+              | Error why ->
+                  Bcgen.note_bail plan why;
                   ignore
                     (Atomic.compare_and_set plan.Bcgen.cache Bcgen.Cnone
                        Bcgen.Cfail);
@@ -131,14 +133,14 @@ let enter (plan : Bcgen.plan) (fr : V.t array) : state option =
             (* validate this execution's shapes against the cached
                specialisation; a mismatch bails without respecialising *)
             Array.iteri
-              (fun c k -> if p.Bc.caps.(c).Bc.ckind <> k then raise Shape)
+              (fun c k -> if p.Bc.caps.(c).Bc.ckind <> k then raise mismatch)
               ckinds;
             if Array.length p.Bc.hoisted <> Array.length dkinds then
-              raise Shape;
+              raise mismatch;
             Array.iteri
               (fun d k ->
                 let _, bank, _ = p.Bc.hoisted.(d) in
-                if bank <> k then raise Shape)
+                if bank <> k then raise mismatch)
               dkinds;
             let nfb = Array.length p.Bc.fbases
             and nib = Array.length p.Bc.ibases in
@@ -148,15 +150,15 @@ let enter (plan : Bcgen.plan) (fr : V.t array) : state option =
             Array.iter
               (function
                 | `FA a ->
-                    if !fi >= nfb then raise Shape;
+                    if !fi >= nfb then raise mismatch;
                     farrs.(!fi) <- a;
                     incr fi
                 | `IA a ->
-                    if !ii >= nib then raise Shape;
+                    if !ii >= nib then raise mismatch;
                     iarrs.(!ii) <- a;
                     incr ii)
               bvals;
-            if !fi <> nfb || !ii <> nib then raise Shape;
+            if !fi <> nfb || !ii <> nib then raise mismatch;
             let ints = Array.make (max p.Bc.nints 1) 0 in
             let floats = Array.make (max p.Bc.nfloats 1) 0.0 in
             Array.iter
@@ -165,7 +167,7 @@ let enter (plan : Bcgen.plan) (fr : V.t array) : state option =
                 | V.VInt i, `I -> ints.(c.Bc.reg) <- i
                 | V.VFloat x, `F -> floats.(c.Bc.reg) <- x
                 | V.VBool b, `B -> ints.(c.Bc.reg) <- (if b then 1 else 0)
-                | _ -> raise Shape)
+                | _ -> raise mismatch)
               p.Bc.caps;
             Array.iteri
               (fun d (h : int * [ `I | `F ] * int) ->
@@ -173,7 +175,7 @@ let enter (plan : Bcgen.plan) (fr : V.t array) : state option =
                 match (dvals.(d), bank) with
                 | `DI i, `I -> ints.(reg) <- i
                 | `DF x, `F -> floats.(reg) <- x
-                | _ -> raise Shape)
+                | _ -> raise mismatch)
               p.Bc.hoisted;
             if p.Bc.tid_reg >= 0 then
               ints.(p.Bc.tid_reg) <- Omprt.Api.get_thread_num ();
@@ -182,7 +184,9 @@ let enter (plan : Bcgen.plan) (fr : V.t array) : state option =
             Some { prog = p; ints; floats; farrs; iarrs }
       with
       | st -> st
-      | exception Shape -> None)
+      | exception Shape why ->
+          Bcgen.note_bail plan why;
+          None)
 
 (* ------------------------------------------------------------------ *)
 (* The dispatch loop.                                                  *)
@@ -414,6 +418,20 @@ let exec (p : Bc.program) (st : state) (code : int array) =
            Array.unsafe_set ints a
              (Array.unsafe_get ints b
              + (Array.unsafe_get ints ivr / dv mod nv * s))
+       | 50 (* addi.i *) ->
+           Array.unsafe_set ints a (Array.unsafe_get ints b + c)
+       | 51 (* accmul.ld.ldx.f — a1[i], then ix[i], then a2[ix[i]] *) ->
+           let a1 = Array.unsafe_get farrs b in
+           let i = Array.unsafe_get ints c in
+           if i < 0 || i >= Array.length a1 then oob i (Array.length a1);
+           let ix = Array.unsafe_get iarrs d in
+           if i < 0 || i >= Array.length ix then oob i (Array.length ix);
+           let j = Array.unsafe_get ix i in
+           let a2 = Array.unsafe_get farrs (Array.unsafe_get code (base + 5)) in
+           if j < 0 || j >= Array.length a2 then oob j (Array.length a2);
+           Array.unsafe_set floats a
+             (Array.unsafe_get floats a
+             +. (Array.unsafe_get a1 i *. Array.unsafe_get a2 j))
        | _ -> V.err "bytecode: invalid opcode %d" op
      done
    with Exit -> ())

@@ -25,7 +25,19 @@
     it, so a conflict is a bailout, never a coercion), booleans are
     0/1 in the int file, and [int op int] stays integer arithmetic
     exactly where {!Rt} keeps it integer — bit-exactness with the
-    closure tier is the invariant, speed only comes second. *)
+    closure tier is the invariant, speed only comes second.
+
+    Emission keeps dispatches per iteration down with four rules: an
+    assignment's root instruction writes the target register (no
+    trailing [mov]); an int [x +/- literal] is one [addi.i]; a
+    sequential [while] is rotated (its test is emitted at entry and,
+    inverted, at the back edge, so no iteration pays a [jmp]); and
+    [s += a[k] * b[ix[k]]] on float arrays is one guarded
+    [accmul.ld.ldx.f].
+
+    Every refusal raises {!Bail} with its reason: [plan]'s reach the
+    compiler, [specialize]'s are kept on the plan, and [zrc run
+    --dump-bc] prints both. *)
 
 open Zr
 module V = Value
@@ -40,9 +52,11 @@ type rres =
 
 type opts = { elide : bool }
 
-exception Bail
+(** Raised with the reason a drain stays on the closure tier. *)
+exception Bail of string
 
-let bail () = raise Bail
+let bail why = raise (Bail why)
+let bailf fmt = Printf.ksprintf bail fmt
 
 (* ------------------------------------------------------------------ *)
 (* Untyped IR.                                                         *)
@@ -112,8 +126,11 @@ type plan = {
   nlocals : int;
   lnames : string array;
   cache : cached Atomic.t;
-  on_spec : Bc.program -> unit;         (* listing registration *)
+  why : string option Atomic.t;         (* first reason an entry bailed *)
 }
+
+(** Remember the first reason an entry of [p] ran on closures. *)
+let note_bail p why = ignore (Atomic.compare_and_set p.why None (Some why))
 
 (* ------------------------------------------------------------------ *)
 (* Phase A: AST -> untyped IR.                                         *)
@@ -212,23 +229,23 @@ let base_expr pa node : int =
   | Ast.Ident ->
       let name = Ast.token_text pa.ast n.Ast.main_token in
       (match lookup_scopes pa.scopes name with
-       | Some _ -> bail ()
+       | Some _ -> bailf "indexes body-local '%s'" name
        | None ->
            (match pa.resolve name with
             | Rslot s when s <> pa.pivslot -> base_of pa s false name
-            | _ -> bail ()))
+            | _ -> bailf "indexes '%s', not a local of the function" name))
   | Ast.Deref ->
       let l = Ast.node pa.ast n.Ast.lhs in
-      if l.Ast.tag <> Ast.Ident then bail ()
+      if l.Ast.tag <> Ast.Ident then bail "dereferences a computed array base"
       else
         let name = Ast.token_text pa.ast l.Ast.main_token in
         (match lookup_scopes pa.scopes name with
-         | Some _ -> bail ()
+         | Some _ -> bailf "indexes body-local '%s.*'" name
          | None ->
              (match pa.resolve name with
               | Rslot s when s <> pa.pivslot -> base_of pa s true name
-              | _ -> bail ()))
-  | _ -> bail ()
+              | _ -> bailf "indexes '%s.*', not a local of the function" name))
+  | _ -> bail "indexes a computed array"
 
 let int_lit_of pa node : int option =
   let n = Ast.node pa.ast node in
@@ -257,12 +274,12 @@ let rec uexpr pa node : uexpr =
       let text = String.concat "" (String.split_on_char '_' text) in
       (match int_of_string_opt text with
        | Some i -> UConstI i
-       | None -> bail ())
+       | None -> bail "integer literal out of range")
   | Ast.Float_lit ->
       let text = Ast.token_text pa.ast n.Ast.main_token in
       (match float_of_string_opt text with
        | Some f -> UConstF f
-       | None -> bail ())
+       | None -> bail "malformed float literal")
   | Ast.Bool_lit -> UConstB (Ast.token_text pa.ast n.Ast.main_token = "true")
   | Ast.Ident ->
       let name = Ast.token_text pa.ast n.Ast.main_token in
@@ -270,7 +287,8 @@ let rec uexpr pa node : uexpr =
        | Nlocal l -> ULocal l
        | Ncap c -> UCap c
        | Niv -> UIv
-       | Nother _ -> bail ())
+       | Nother _ ->
+           bailf "reads '%s', a global, function or undeclared name" name)
   | Ast.Bin_op ->
       let t = (Ast.token pa.ast n.Ast.main_token).Token.tag in
       let a () = uexpr pa n.Ast.lhs and b () = uexpr pa n.Ast.rhs in
@@ -288,29 +306,32 @@ let rec uexpr pa node : uexpr =
        | Token.Gt_eq -> let x = a () in UCmp (Cge, x, b ())
        | Token.Eq_eq -> let x = a () in UCmp (Ceq, x, b ())
        | Token.Bang_eq -> let x = a () in UCmp (Cne, x, b ())
-       | _ -> bail ())
+       | _ -> bailf "binary operator '%s'" (Token.tag_to_string t))
   | Ast.Un_op ->
       let t = (Ast.token pa.ast n.Ast.main_token).Token.tag in
       (match t with
        | Token.Minus -> UNeg (uexpr pa n.Ast.lhs)
        | Token.Bang -> UNot (uexpr pa n.Ast.lhs)
-       | _ -> bail ())
+       | _ -> bailf "unary operator '%s'" (Token.tag_to_string t))
   | Ast.Index ->
       let b = base_expr pa n.Ast.lhs in
       ULoad (b, uexpr pa n.Ast.rhs)
   | Ast.Deref ->
       let l = Ast.node pa.ast n.Ast.lhs in
-      if l.Ast.tag <> Ast.Ident then bail ()
+      if l.Ast.tag <> Ast.Ident then bail "dereferences a computed pointer"
       else
         let name = Ast.token_text pa.ast l.Ast.main_token in
         (match lookup_scopes pa.scopes name with
-         | Some _ -> bail ()
+         | Some _ -> bailf "dereferences body-local '%s'" name
          | None ->
              (match pa.resolve name with
               | Rslot s when s <> pa.pivslot -> UDeref (deref_of pa s name)
-              | _ -> bail ()))
+              | _ ->
+                  bailf "dereferences '%s', not a local of the function" name))
   | Ast.Call -> ucall pa node n
-  | _ -> bail ()
+  | _ ->
+      bailf "expression '%s' has no VM form"
+        (Ast.token_text pa.ast n.Ast.main_token)
 
 and ucall pa node n : uexpr =
   let args = Ast.call_args pa.ast node in
@@ -322,8 +343,9 @@ and ucall pa node n : uexpr =
       let meth = Ast.token_text pa.ast callee.Ast.main_token in
       if base.Ast.tag <> Ast.Ident
          || Ast.token_text pa.ast base.Ast.main_token <> "omp"
-      then bail ()
-      else if lookup_scopes pa.scopes "omp" <> None then bail ()
+      then bailf "calls method '%s' outside omp" meth
+      else if lookup_scopes pa.scopes "omp" <> None then
+        bail "'omp' is shadowed by a body local"
       else
         (match pa.resolve "omp" with
          | Rfnname | Runbound ->
@@ -332,14 +354,16 @@ and ucall pa node n : uexpr =
              (match meth, args with
               | "get_thread_num", [] -> pa.ptid <- true; UTid
               | "get_num_threads", [] -> pa.pntd <- true; UNtd
-              | _ -> bail ())
-         | Rslot _ | Rglobalish -> bail ())
+              | _ -> bailf "calls omp.%s" meth)
+         | Rslot _ | Rglobalish -> bail "'omp' names a variable")
   | Ast.Ident ->
       let fname = Ast.token_text pa.ast callee.Ast.main_token in
-      if lookup_scopes pa.scopes fname <> None then bail ()
+      if lookup_scopes pa.scopes fname <> None then
+        bailf "calls body-local '%s'" fname
       else
         (match pa.resolve fname with
-         | Rslot _ | Rglobalish | Rfnname -> bail ()
+         | Rslot _ | Rglobalish | Rfnname ->
+             bailf "calls '%s', a program function or variable" fname
          | Runbound ->
              (match fname, args with
               | "sqrt", [ a ] -> UMath (Msqrt, uexpr pa a)
@@ -350,8 +374,8 @@ and ucall pa node n : uexpr =
               | "int_of", [ a ] -> UIntOf (uexpr pa a)
               | "float_of", [ a ] -> UFloatOf (uexpr pa a)
               | "len", [ a ] -> ULen (base_expr pa a)
-              | _ -> bail ()))
-  | _ -> bail ()
+              | _ -> bailf "calls '%s', not a VM builtin" fname))
+  | _ -> bail "calls a computed function"
 
 let rec ustmt_list pa node : ustmt list =
   let n = Ast.node pa.ast node in
@@ -366,7 +390,9 @@ let rec ustmt_list pa node : ustmt list =
       pa.scopes <- List.tl pa.scopes;
       out
   | Ast.Var_decl | Ast.Const_decl ->
-      if n.Ast.rhs = 0 then bail ();
+      if n.Ast.rhs = 0 then
+        bailf "declares '%s' without an initialiser"
+          (Ast.token_text pa.ast n.Ast.main_token);
       (* initialiser first, then the binding — the closure tier allocates
          the slot after compiling the initialiser *)
       let e = uexpr pa n.Ast.rhs in
@@ -385,7 +411,7 @@ let rec ustmt_list pa node : ustmt list =
              | Token.Minus_eq -> UBin (Bsub, cur, rhs)
              | Token.Star_eq -> UBin (Bmul, cur, rhs)
              | Token.Slash_eq -> UBin (Bdiva, cur, rhs)
-             | _ -> bail ()
+             | _ -> bailf "assignment operator '%s'" (Token.tag_to_string t)
            in
            (match name_res pa name with
             | Nlocal l ->
@@ -393,7 +419,8 @@ let rec ustmt_list pa node : ustmt list =
             | Ncap c ->
                 Hashtbl.replace pa.written c ();
                 one (SAssignC (c, combine (UCap c) (uexpr pa n.Ast.rhs)))
-            | Niv | Nother _ -> bail ())
+            | Niv | Nother _ ->
+                bailf "assigns '%s', the loop counter or a non-local" name)
        | Ast.Index ->
            let b = base_expr pa tgt.Ast.lhs in
            let idx = uexpr pa tgt.Ast.rhs in
@@ -404,8 +431,10 @@ let rec ustmt_list pa node : ustmt list =
             | Token.Minus_eq -> one (SOpStore (Bsub, b, idx, rhs))
             | Token.Star_eq -> one (SOpStore (Bmul, b, idx, rhs))
             | Token.Slash_eq -> one (SOpStore (Bdiva, b, idx, rhs))
-            | _ -> bail ())
-       | _ -> bail ())
+            | _ ->
+                bailf "assignment operator '%s' on an element"
+                  (Token.tag_to_string t))
+       | _ -> bail "assigns through a pointer or a field")
   | Ast.While ->
       let cont = Ast.extra pa.ast n.Ast.rhs in
       let body = Ast.extra pa.ast (n.Ast.rhs + 1) in
@@ -428,7 +457,9 @@ let rec ustmt_list pa node : ustmt list =
       (match e with
        | UConstI _ | UConstF _ | UConstB _ -> []
        | e -> one (SExpr e))
-  | _ -> bail ()
+  | _ ->
+      bailf "statement '%s' has no VM form"
+        (Ast.token_text pa.ast n.Ast.main_token)
 
 (* [cont] is exactly [<iv> += <literal step>] — the shape the
    preprocessor generates.  That one statement fuses into the back
@@ -451,11 +482,11 @@ let cont_is_iv_step pa cont step =
   && (match int_lit_of pa n.Ast.rhs with Some s -> s = step | None -> false)
 
 (** Phase A.  [cont] and [body] are the AST statement nodes of the
-    recognised drain; [step2] its step expression node.  Returns [None]
-    — closure tier — rather than raising. *)
+    recognised drain; [step2] its step expression node.  Returns
+    [Error why] — closure tier — rather than raising. *)
 let plan ~(opts : opts) ~(ast : Ast.t) ~(resolve : string -> rres)
     ~(label : string) ~(ivslot : int) ~(step2 : int) ~(cont : int)
-    ~(body : int) ~(on_spec : Bc.program -> unit) () : plan option =
+    ~(body : int) : (plan, string) result =
   let pa =
     { ast; resolve; pivslot = ivslot; scopes = [ [] ]; nlocals = 0;
       lnames_rev = []; cap_tbl = Hashtbl.create 8; caps_rev = []; ncaps = 0;
@@ -465,7 +496,9 @@ let plan ~(opts : opts) ~(ast : Ast.t) ~(resolve : string -> rres)
   in
   match
     let step =
-      match int_lit_of pa step2 with Some s when s <> 0 -> s | _ -> bail ()
+      match int_lit_of pa step2 with
+      | Some s when s <> 0 -> s
+      | _ -> bail "the loop step is not a nonzero integer literal"
     in
     let ubody = ustmt_list pa body in
     let fuse_cont = cont_is_iv_step pa cont step in
@@ -482,7 +515,7 @@ let plan ~(opts : opts) ~(ast : Ast.t) ~(resolve : string -> rres)
           | _ -> false)
         stmts
     in
-    if esc_continue ucont then bail ();
+    if esc_continue ucont then bail "a continue escapes the loop increment";
     let caps = Array.of_list (List.rev pa.caps_rev) in
     let cap_written =
       Array.init (Array.length caps) (fun i -> Hashtbl.mem pa.written i)
@@ -495,19 +528,21 @@ let plan ~(opts : opts) ~(ast : Ast.t) ~(resolve : string -> rres)
           if Hashtbl.mem pa.base_tbl (slot, false)
              || Hashtbl.mem pa.base_tbl (slot, true)
              || Hashtbl.mem pa.deref_tbl slot
-          then bail ())
+          then
+            bailf "writes '%s', which it also indexes or dereferences"
+              (snd caps.(c)))
       caps;
-    Some
+    Ok
       { opts; label; line = line_of_node pa body; ivslot; step; ubody;
         ucont; fuse_cont; caps; cap_written;
         ubases = Array.of_list (List.rev pa.bases_rev);
         uderefs = Array.of_list (List.rev pa.derefs_rev);
         uses_tid = pa.ptid; uses_ntd = pa.pntd; nlocals = pa.nlocals;
         lnames = Array.of_list (List.rev pa.lnames_rev);
-        cache = Atomic.make Cnone; on_spec }
+        cache = Atomic.make Cnone; why = Atomic.make None }
   with
   | p -> p
-  | exception Bail -> None
+  | exception Bail why -> Error why
 
 (* ------------------------------------------------------------------ *)
 (* Phase B: specialisation to the observed shapes.                     *)
@@ -592,11 +627,11 @@ let cc_of = function
 
 (** Specialise [p] to the observed shapes: [ckinds] per captured slot,
     [bbanks] per indexed base, [dkinds] per hoisted dereference.
-    [None] means the shapes fall outside the tier — the caller runs the
-    closure path (and remembers the failure). *)
+    [Error why] means the shapes fall outside the tier — the caller
+    runs the closure path (and remembers the failure). *)
 let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
     ~(bbanks : [ `F | `I ] array) ~(dkinds : [ `I | `F ] array) :
-    Bc.program option =
+    (Bc.program, string) result =
   match
     (* ---- typing: one shape per storage location, else bail ---- *)
     let lkinds = Array.make p.nlocals None in
@@ -609,7 +644,10 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
       | UConstI _ -> KI
       | UConstF _ -> KF
       | UConstB _ -> KB
-      | ULocal l -> (match lkinds.(l) with Some k -> k | None -> bail ())
+      | ULocal l -> (
+          match lkinds.(l) with
+          | Some k -> k
+          | None -> bailf "reads local '%s' before assigning it" p.lnames.(l))
       | UCap c -> kind_of_cap c
       | UIv | UTid | UNtd -> KI
       | UDeref d -> kind_of_deref d
@@ -617,32 +655,35 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
           (* Rt.div_assign: always float, both operands numeric *)
           (match (kind_of a, kind_of b) with
            | (KI | KF), (KI | KF) -> KF
-           | _ -> bail ())
+           | _ -> bail "'/=' on a bool")
       | UBin (_, a, b) ->
           (match (kind_of a, kind_of b) with
            | KI, KI -> KI
            | (KI | KF), (KI | KF) -> KF
-           | _ -> bail ())
+           | _ -> bail "arithmetic on a bool")
       | UCmp (_, a, b) ->
           (match (kind_of a, kind_of b) with
            | KI, KI | KB, KB -> KB
            | (KI | KF), (KI | KF) -> KB
-           | _ -> bail ())
+           | _ -> bail "compares a bool with a number")
       | UAnd (a, b) | UOr (a, b) ->
-          if kind_of a <> KB || kind_of b <> KB then bail ();
+          if kind_of a <> KB || kind_of b <> KB then
+            bail "'and'/'or' on a non-bool";
           KB
       | UNeg a ->
-          (match kind_of a with KI -> KI | KF -> KF | KB -> bail ())
-      | UNot a -> if kind_of a <> KB then bail () else KB
+          (match kind_of a with
+           | KI -> KI | KF -> KF | KB -> bail "negates a bool")
+      | UNot a -> if kind_of a <> KB then bail "'!' on a non-bool" else KB
       | ULoad (b, idx) ->
-          if kind_of idx <> KI then bail ();
+          if kind_of idx <> KI then bail "a subscript is not an int";
           (match bbanks.(b) with `F -> KF | `I -> KI)
       | UMath (_, a) ->
-          (match kind_of a with KI | KF -> KF | KB -> bail ())
+          (match kind_of a with
+           | KI | KF -> KF | KB -> bail "a math builtin on a bool")
       | UIntOf a ->
-          (match kind_of a with KI | KF -> KI | KB -> bail ())
+          (match kind_of a with KI | KF -> KI | KB -> bail "int_of on a bool")
       | UFloatOf a ->
-          (match kind_of a with KI | KF -> KF | KB -> bail ())
+          (match kind_of a with KI | KF -> KF | KB -> bail "float_of on a bool")
       | ULen _ -> KI
     in
     let rec ty_stmt s =
@@ -651,22 +692,29 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
           let k = kind_of e in
           (match lkinds.(l) with
            | None -> lkinds.(l) <- Some k
-           | Some k' -> if k <> k' then bail ())
-      | SAssignC (c, e) -> if kind_of e <> kind_of_cap c then bail ()
+           | Some k' ->
+               if k <> k' then bailf "local '%s' changes type" p.lnames.(l))
+      | SAssignC (c, e) ->
+          if kind_of e <> kind_of_cap c then
+            bailf "assigns captured '%s' a value of another type"
+              (snd p.caps.(c))
       | SStore (b, idx, v) ->
-          if kind_of idx <> KI then bail ();
+          if kind_of idx <> KI then bail "a subscript is not an int";
           ignore (bbanks.(b));
-          (match kind_of v with KI | KF -> () | KB -> bail ())
+          (match kind_of v with
+           | KI | KF -> () | KB -> bail "stores a bool into an array")
       | SOpStore (_, b, idx, v) ->
-          if kind_of idx <> KI then bail ();
+          if kind_of idx <> KI then bail "a subscript is not an int";
           ignore (bbanks.(b));
-          (match kind_of v with KI | KF -> () | KB -> bail ())
+          (match kind_of v with
+           | KI | KF -> ()
+           | KB -> bail "combines a bool into an array element")
       | SIf (c, a, b) ->
-          if kind_of c <> KB then bail ();
+          if kind_of c <> KB then bail "an if condition is not a bool";
           List.iter ty_stmt a;
           List.iter ty_stmt b
       | SWhile (c, body, cont) ->
-          if kind_of c <> KB then bail ();
+          if kind_of c <> KB then bail "a while condition is not a bool";
           List.iter ty_stmt body;
           List.iter ty_stmt cont
       | SExpr e -> ignore (kind_of e)
@@ -758,12 +806,21 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
       in
       (* value compilation; [ce_i] yields an int/bool register, [ce_f]
          a float register (coercing an int-kind operand via i2f, which
-         is exactly [Value.to_float] on the shapes that reach here) *)
-      let rec ce_i ln e : int =
+         is exactly [Value.to_float] on the shapes that reach here).
+         [dst] is an assignment's target: the expression's root
+         instruction writes it instead of a fresh temp, so no [mov]
+         follows.  Operands never get it, and the root is the last
+         instruction on every path, so each read of the target comes
+         before its write.  A leaf still returns its own register. *)
+      let rec ce_i ?dst ln e : int =
+        let out () = match dst with Some d -> d | None -> ti () in
         match e with
-        | UConstI k -> let d = ti () in ignore (eb_emit eb ln Bc.op_ldc_i d k 0 0 0); d
+        | UConstI k ->
+            let d = out () in
+            ignore (eb_emit eb ln Bc.op_ldc_i d k 0 0 0);
+            d
         | UConstB b ->
-            let d = ti () in
+            let d = out () in
             ignore (eb_emit eb ln Bc.op_ldc_i d (if b then 1 else 0) 0 0 0);
             d
         | ULocal l -> snd regs.loc_reg.(l)
@@ -772,13 +829,17 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
         | UTid -> regs.rtid
         | UNtd -> regs.rntd
         | UDeref d -> snd regs.der_reg.(d)
+        (* int [x +/- literal]: one addi.i (wrapping, like add.i) *)
+        | UBin (Badd, a, UConstI k) | UBin (Badd, UConstI k, a) ->
+            addi ?dst ln a k
+        | UBin (Bsub, a, UConstI k) -> addi ?dst ln a (-k)
         | UBin (op, a, b) ->
             (* int kind: both operands int by typing *)
             let sv = save () in
             let ra = ce_i ln a in
             let rb = ce_i ln b in
             restore sv;
-            let d = ti () in
+            let d = out () in
             let o =
               match op with
               | Badd -> Bc.op_add_i
@@ -797,7 +858,7 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
               let ra = ce_f ln a in
               let rb = ce_f ln b in
               restore sv;
-              let d = ti () in
+              let d = out () in
               ignore (eb_emit eb ln Bc.op_cmp_ff (cc_of c) d ra rb 0);
               d
             end
@@ -805,12 +866,12 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
               let ra = ce_i ln a in
               let rb = ce_i ln b in
               restore sv;
-              let d = ti () in
+              let d = out () in
               ignore (eb_emit eb ln Bc.op_cmp_ii (cc_of c) d ra rb 0);
               d
             end
         | UAnd (a, b) ->
-            let d = ti () in
+            let d = out () in
             let fl = ref [] in
             branch_if_false ln a fl;
             let sv = save () in
@@ -824,7 +885,7 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
             eb_patch eb (pc + 1) (eb_pc eb);
             d
         | UOr (a, b) ->
-            let d = ti () in
+            let d = out () in
             let tl = ref [] in
             branch_if_true ln a tl;
             let sv = save () in
@@ -841,48 +902,56 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
             let sv = save () in
             let ra = ce_i ln a in
             restore sv;
-            let d = ti () in
+            let d = out () in
             ignore (eb_emit eb ln Bc.op_neg_i d ra 0 0 0);
             d
         | UNot a ->
             let sv = save () in
             let ra = ce_i ln a in
             restore sv;
-            let d = ti () in
+            let d = out () in
             ignore (eb_emit eb ln Bc.op_not_b d ra 0 0 0);
             d
-        | ULoad (b, idx) -> load ln b idx
+        | ULoad (b, idx) -> load ?dst ln b idx
         | UIntOf a ->
             (match kind_of a with
-             | KI -> ce_i ln a
+             | KI -> ce_i ?dst ln a
              | _ ->
                  let sv = save () in
                  let ra = ce_f ln a in
                  restore sv;
-                 let d = ti () in
+                 let d = out () in
                  ignore (eb_emit eb ln Bc.op_f2i d ra 0 0 0);
                  d)
         | ULen b ->
             let bank, bi = regs.bmap.(b) in
-            let d = ti () in
+            let d = out () in
             let o = match bank with `F -> Bc.op_len_f | `I -> Bc.op_len_i in
             ignore (eb_emit eb ln o d bi 0 0 0);
             d
         | UConstF _ | UMath _ | UFloatOf _ -> assert false
-      and ce_f ln e : int =
+      and addi ?dst ln a k =
+        let sv = save () in
+        let ra = ce_i ln a in
+        restore sv;
+        let d = match dst with Some d -> d | None -> ti () in
+        ignore (eb_emit eb ln Bc.op_addi_i d ra k 0 0);
+        d
+      and ce_f ?dst ln e : int =
+        let out () = match dst with Some d -> d | None -> tf () in
         if kind_of e <> KF then begin
           (* int-kind value in float position: exactly [Value.to_float] *)
           let sv = save () in
           let ra = ce_i ln e in
           restore sv;
-          let d = tf () in
+          let d = out () in
           ignore (eb_emit eb ln Bc.op_i2f d ra 0 0 0);
           d
         end
         else
         match e with
         | UConstF x ->
-            let d = tf () in
+            let d = out () in
             ignore (eb_emit eb ln Bc.op_ldc_f d (fpool_idx x) 0 0 0);
             d
         | ULocal l -> snd regs.loc_reg.(l)
@@ -898,7 +967,7 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
             let off = match affine_off sub with Some o -> o | None -> 0 in
             let _, bi = regs.bmap.(b) in
             record_check `F bi off;
-            let d = tf () in
+            let d = out () in
             ignore
               (eb_emit eb ln Bc.op_mulc_ld_fu d bi iv_reg (fpool_idx c) off);
             d
@@ -907,7 +976,7 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
             let ra = ce_f ln a in
             let rb = ce_f ln b in
             restore sv;
-            let d = tf () in
+            let d = out () in
             let o =
               match op with
               | Badd -> Bc.op_add_f
@@ -922,14 +991,14 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
             let sv = save () in
             let ra = ce_f ln a in
             restore sv;
-            let d = tf () in
+            let d = out () in
             ignore (eb_emit eb ln Bc.op_neg_f d ra 0 0 0);
             d
         | UMath (m, a) ->
             let sv = save () in
             let ra = ce_f ln a in
             restore sv;
-            let d = tf () in
+            let d = out () in
             let o =
               match m with
               | Msqrt -> Bc.op_sqrt
@@ -940,15 +1009,15 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
             in
             ignore (eb_emit eb ln o d ra 0 0 0);
             d
-        | ULoad (b, idx) -> load ln b idx
+        | ULoad (b, idx) -> load ?dst ln b idx
         | UFloatOf a ->
             (match kind_of a with
-             | KF -> ce_f ln a
+             | KF -> ce_f ?dst ln a
              | _ ->
                  let sv = save () in
                  let ra = ce_i ln a in
                  restore sv;
-                 let d = tf () in
+                 let d = out () in
                  ignore (eb_emit eb ln Bc.op_i2f d ra 0 0 0);
                  d)
         | UIv | UTid | UNtd | UConstI _ | UConstB _ | UCmp _ | UAnd _
@@ -956,14 +1025,19 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
             assert false (* int kind; intercepted above *)
       (* array load, either bank; elided when the subscript is the
          analyser's affine shape and this is the elided variant *)
-      and load ln b idx : int =
+      and load ?dst ln b idx : int =
         let bank, bi = regs.bmap.(b) in
-        let opg, opu, dst =
+        let opg, opu =
           match bank with
-          | `F -> (Bc.op_ld_f, Bc.op_ld_fu, `F)
-          | `I -> (Bc.op_ld_i, Bc.op_ld_iu, `I)
+          | `F -> (Bc.op_ld_f, Bc.op_ld_fu)
+          | `I -> (Bc.op_ld_i, Bc.op_ld_iu)
         in
-        let alloc_dst () = match dst with `F -> tf () | `I -> ti () in
+        let alloc_dst () =
+          match (dst, bank) with
+          | Some d, _ -> d
+          | None, `F -> tf ()
+          | None, `I -> ti ()
+        in
         match affine_off idx with
         | Some off when elide ->
             record_check bank bi off;
@@ -1061,22 +1135,24 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
             let pc = eb_emit eb ln Bc.op_brz t 0 0 0 0 in
             cells := (pc + 2) :: !cells
       in
-      (* scalar assignment into a named register *)
+      (* scalar assignment into a named register: the root writes it *)
       let emit_assign ln (k, reg) e =
         let sv = save () in
         (match k with
          | KF ->
-             let r = ce_f ln e in
+             let r = ce_f ~dst:reg ln e in
              if r <> reg then ignore (eb_emit eb ln Bc.op_mov_f reg r 0 0 0)
          | KI | KB ->
-             let r = ce_i ln e in
+             let r = ce_i ~dst:reg ln e in
              if r <> reg then ignore (eb_emit eb ln Bc.op_mov_i reg r 0 0 0));
         restore sv
       in
-      (* [target += a[...]] and [target += a[...] * b[...]] fusions.
-         The accmul forms carry no trap risk reordering only when both
-         subscripts cannot fault, so they are restricted to plain
-         register subscripts. *)
+      (* [target += a[...]], [target += a[...] * b[...]] and
+         [target += a[k] * b[ix[k]]] fusions.  The accmul forms carry no
+         trap risk reordering only when the subscripts themselves cannot
+         fault, so they are restricted to plain register subscripts; the
+         gather form checks a[k], ix[k], then b[ix[k]], the closure
+         tier's left-to-right order. *)
       let simple_idx sub =
         match sub with
         | UIv -> Some (iv_reg, true)
@@ -1105,6 +1181,18 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
                   record_check `F bi off;
                   ignore (eb_emit eb ln Bc.op_acc_ld_fu treg bi iv_reg off 0);
                   true
+              | UBin (Bmul, ULoad (b1, s1), ULoad (b2, ULoad (bx, sx)))
+                when fst regs.bmap.(b1) = `F
+                     && fst regs.bmap.(b2) = `F
+                     && fst regs.bmap.(bx) = `I -> (
+                  match (simple_idx s1, simple_idx sx) with
+                  | Some (i, _), Some (i', _) when i = i' ->
+                      let bi b = snd regs.bmap.(b) in
+                      ignore
+                        (eb_emit eb ln Bc.op_accmul_ld_ldx_f treg (bi b1) i
+                           (bi bx) (bi b2));
+                      true
+                  | _ -> false)
               | UBin (Bmul, ULoad (b1, s1), ULoad (b2, s2))
                 when fst regs.bmap.(b1) = `F && fst regs.bmap.(b2) = `F -> (
                   match (simple_idx s1, simple_idx s2) with
@@ -1320,9 +1408,11 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
               eb_patch eb (pc + 1) (eb_pc eb)
             end
         | SWhile (c, body, cont) ->
-            let top = eb_pc eb in
+            (* rotated: the condition is tested at entry and again at
+               the back edge (inverted), so no iteration pays a jmp *)
             let xl = ref [] in
             branch_if_false ln c xl;
+            let top = eb_pc eb in
             let brk' = ref [] and cnt' = ref [] in
             List.iter (cs ~brk:brk' ~cnt:cnt') body;
             let cont_l = eb_pc eb in
@@ -1331,7 +1421,9 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
                closure's Break handler wraps the whole while, cont
                included); a continue propagates to the enclosing loop *)
             List.iter (cs ~brk:brk' ~cnt) cont;
-            ignore (eb_emit eb ln Bc.op_jmp top 0 0 0 0);
+            let tl = ref [] in
+            branch_if_true ln c tl;
+            List.iter (fun cell -> eb_patch eb cell top) !tl;
             let here = eb_pc eb in
             List.iter (fun cell -> eb_patch eb cell here) !xl;
             List.iter (fun cell -> eb_patch eb cell here) !brk'
@@ -1457,5 +1549,5 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
       step = p.step; ireg_names; freg_names; lines; glines;
     }
   with
-  | prog -> Some prog
-  | exception Bail -> None
+  | prog -> Ok prog
+  | exception Bail why -> Error why

@@ -76,9 +76,9 @@ type t = {
   prog : Rt.program;
   cfns : (string, cfn) Hashtbl.t;
   bc : Bcgen.opts option;  (* Some iff the bytecode tier is enabled *)
-  bc_listings : (string * string) list Atomic.t;
-      (* (drain label, disassembly), pushed by the specialisation
-         winner — possibly from a worker domain, hence the atomic *)
+  mutable bc_drains : (string * (Bcgen.plan, string) result) list;
+      (* every planned drain, newest first: its plan, or the reason
+         the planner refused it *)
 }
 
 (** Per-function compile context: lexical scopes mapping names to slots
@@ -145,19 +145,13 @@ let bc_plan ctx ~ivslot ~step2 ~cont ~body : Bcgen.plan option =
   | Some opts ->
       let label = Printf.sprintf "%s#%d" ctx.cfname ctx.ndrains in
       ctx.ndrains <- ctx.ndrains + 1;
-      let listings = ctx.cp.bc_listings in
-      let on_spec prog =
-        let entry = (label, Bc.disasm prog) in
-        let rec push () =
-          let cur = Atomic.get listings in
-          if not (Atomic.compare_and_set listings cur (entry :: cur)) then
-            push ()
-        in
-        push ()
+      let r =
+        Bcgen.plan ~opts ~ast:ctx.cp.prog.ast
+          ~resolve:(fun n -> bc_res (resolve ctx n))
+          ~label ~ivslot ~step2 ~cont ~body
       in
-      Bcgen.plan ~opts ~ast:ctx.cp.prog.ast
-        ~resolve:(fun n -> bc_res (resolve ctx n))
-        ~label ~ivslot ~step2 ~cont ~body ~on_spec ()
+      ctx.cp.bc_drains <- (label, r) :: ctx.cp.bc_drains;
+      match r with Ok p -> Some p | Error _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* The outliner's capture prologue.  A task function [fn F(fp, sh)]
@@ -1253,7 +1247,7 @@ let compile_fn cp fname fn_node =
 
 let compile ?bc (prog : Rt.program) : t =
   let cp =
-    { prog; cfns = Hashtbl.create 16; bc; bc_listings = Atomic.make [] }
+    { prog; cfns = Hashtbl.create 16; bc; bc_drains = [] }
   in
   Hashtbl.iter
     (fun fname fn_node ->
@@ -1278,4 +1272,15 @@ let slot_layout cp fname =
 
 let bc_enabled cp = cp.bc <> None
 
-let bc_listings cp = List.rev (Atomic.get cp.bc_listings)
+let bc_listings cp =
+  List.filter_map
+    (fun (label, r) ->
+      match r with
+      | Error why -> Some (label, "closures: " ^ why ^ "\n")
+      | Ok p -> (
+          match (Atomic.get p.Bcgen.cache, Atomic.get p.Bcgen.why) with
+          | Bcgen.Cprog prog, _ -> Some (label, Bc.disasm prog)
+          | (Bcgen.Cnone | Bcgen.Cfail), Some why ->
+              Some (label, "closures: " ^ why ^ "\n")
+          | (Bcgen.Cnone | Bcgen.Cfail), None -> None))
+    (List.rev cp.bc_drains)

@@ -40,9 +40,12 @@ val slot_layout : t -> string -> (int * string) list option
 (** Whether this program was compiled with the bytecode tier. *)
 val bc_enabled : t -> bool
 
-(** Disassembly listings of every drain body specialised so far, as
-    [(label, listing)] in specialisation order; [label] is
-    ["<fn>#<k>"] for the [k]-th recognised drain of [<fn>].  Listings
-    appear only after a drain has executed once (specialisation is
-    lazy), so run the program before dumping. *)
+(** One listing per drain, as [(label, listing)] in compile order;
+    [label] is ["<fn>#<k>"] for the [k]-th recognised drain of [<fn>].
+    A drain that specialised lists its disassembly.  A drain that stays
+    on the closure tier lists ["closures: <reason>"]: the planner's
+    refusal (known after [compile]), or the first reason an entry
+    bailed (a failed specialisation, or a runtime shape outside the
+    tier).  A planned drain appears only once it has executed
+    (specialisation is lazy), so run the program before dumping. *)
 val bc_listings : t -> (string * string) list

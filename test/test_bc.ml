@@ -9,11 +9,11 @@
      agree on results, raised errors and per-construct profile counts,
      and must actually enter the VM (never silently bail);
    - out-of-bounds error parity on one deterministic schedule;
-   - disassembly goldens: the stencil body listing (opcodes, fused
-     superinstructions, [unguarded] markers) and the register
+   - disassembly goldens: the stencil and SpMV body listings (opcodes,
+     fused superinstructions, [unguarded] markers) and the register
      allocation of the NPB CG loop bodies;
-   - the NPB EP/IS bodies pinned as bailouts (their loop bodies call
-     host functions, which the planner must refuse);
+   - the NPB EP/IS bodies pinned as bailouts, with their reasons (their
+     loop bodies call host functions, which the planner must refuse);
    - the standalone examples under compiled vs bytecode. *)
 
 module V = Interp.Value
@@ -347,12 +347,21 @@ let args_for n =
   [ V.VInt n; V.VFloatArr x; V.VIntArr ix;
     V.VFloatArr (Array.make n 0.); V.VIntArr (Array.make n 0) ]
 
+(* A raised error as text.  [Printexc] prints a region's
+   [Worker_failure (tid, e)] as [Worker_failure(tid, _)], so the
+   wrapped error — the one whose message must agree — is rendered
+   explicitly. *)
+let rec error_text = function
+  | Omprt.Team.Worker_failure (tid, e) ->
+      Printf.sprintf "Worker_failure(%d, %s)" tid (error_text e)
+  | e -> Printexc.to_string e
+
 (* One tier under the profiler: result, per-construct counts, and the
    bytecode-tier counters (captured before the final reset).           *)
 let run_counted run =
   Omprt.Profile.reset ();
   Omprt.Profile.enable ();
-  let res = try Ok (run ()) with e -> Error (Printexc.to_string e) in
+  let res = try Ok (run ()) with e -> Error (error_text e) in
   Omprt.Profile.disable ();
   let counts =
     List.map
@@ -401,8 +410,61 @@ let prop_three_tier =
 
 (* Out-of-bounds subscripts: one thread, static schedule, so the first
    faulting iteration is deterministic; all three tiers must raise the
-   identical error (the bytecode tier through its guarded twin).       *)
-let oob_program_gen =
+   identical error (the bytecode tier through its guarded twin).
+
+   The CSR case runs the gather [s += x[k] * w[ix[k]]] over arrays of
+   three different lengths (x: n+2, ix: n+1, w: n), so each access
+   faults with its own message.  The fault lies in x[k] (k < 0, where
+   ix[k] would fault too, so the check order decides the message), in
+   ix[k] (k = n+1), or in w[ix[k]] (a negative or too-large entry).   *)
+let csr_oob_gen =
+  let open G in
+  let* fault = oneofl [ `X; `Ix; `W_neg; `W_big ] in
+  let* d = int_range 1 3 in
+  let* n = int_range 1 8 in
+  let* pos = int_range 0 n in
+  let lo, hi, patch =
+    match fault with
+    | `X -> (Printf.sprintf "-%d" d, "n + 1", "")
+    | `Ix -> ("0", "n + 2", "")
+    | `W_neg -> ("0", "n + 1", Printf.sprintf "    ix[%d] = -%d;" pos d)
+    | `W_big -> ("0", "n + 1", Printf.sprintf "    ix[%d] = n - 1 + %d;" pos d)
+  in
+  let src =
+    Printf.sprintf
+      {|
+fn gather(n: i64, x: []f64, ix: []i64, w: []f64) f64 {
+    var acc: f64 = 0.0;
+    var i: i64 = 0;
+    //$omp parallel for reduction(+: acc) shared(x, ix, w) schedule(static)
+    while (i < n) : (i += 1) {
+        var s: f64 = 0.0;
+        var k: i64 = %s;
+        var hi: i64 = %s;
+        while (k < hi) : (k += 1) {
+            s += x[k] * w[ix[k]];
+        }
+        acc += s;
+    }
+    return acc;
+}
+
+fn f(n: i64, x0: []f64, ix0: []i64, w: []f64, iw: []i64) f64 {
+    var x = alloc_f64(n + 2);
+    var ix = alloc_i64(n + 1);
+    var j: i64 = 0;
+    while (j < n + 2) : (j += 1) { x[j] = x0[j %% n]; }
+    j = 0;
+    while (j < n + 1) : (j += 1) { ix[j] = ix0[j %% n]; }
+%s
+    return gather(n, x, ix, w);
+}
+|}
+      lo hi patch
+  in
+  return (src, n, 1)
+
+let affine_oob_gen =
   let open G in
   let* off = int_range 1 3 in
   let* dir = oneofl [ `Low; `High ] in
@@ -435,6 +497,8 @@ fn f(n: i64, x: []f64, ix: []i64, w: []f64, iw: []i64) f64 {
   let* n = int_range 1 8 in
   return (src, n, 1)
 
+let oob_program_gen = G.oneof [ affine_oob_gen; csr_oob_gen ]
+
 let prop_oob_parity =
   QCheck2.Test.make
     ~name:"out-of-bounds bodies: identical error on all three tiers"
@@ -461,17 +525,20 @@ fn stencil(n: i64, a: []f64, b: []f64) f64 {
 }
 |}
 
-let stencil_listing () =
+(* The one drain listing of [fname] after one bytecode run. *)
+let drain_listing ~name src fname args =
   Omprt.Api.set_num_threads 1;
-  let p = Zigomp.compile ~backend:`Bytecode ~name:"stencil.zr" stencil_src in
-  let n = 32 in
-  ignore
-    (Zigomp.call p "stencil"
-       [ V.VInt n; V.VFloatArr (Array.init n float_of_int);
-         V.VFloatArr (Array.make n 0.) ]);
+  let p = Zigomp.compile ~backend:`Bytecode ~name src in
+  ignore (Zigomp.call p fname args);
   match Zigomp.bc_listings p with
   | [ (label, listing) ] -> (label, listing)
   | l -> Alcotest.failf "expected one listing, got %d" (List.length l)
+
+let stencil_listing () =
+  let n = 32 in
+  drain_listing ~name:"stencil.zr" stencil_src "stencil"
+    [ V.VInt n; V.VFloatArr (Array.init n float_of_int);
+      V.VFloatArr (Array.make n 0.) ]
 
 let stencil_golden =
   "registers: 2 int (iv=i0, upper=i1), 3 float\n\
@@ -513,6 +580,79 @@ let test_stencil_golden () =
   Alcotest.(check string) "drain label" "__omp_outlined_0#0" label;
   Alcotest.(check string) "stencil body listing" stencil_golden listing
 
+(* NPB CG's SpMV shape.  The inner loop must stay at 4 dispatches per
+   nonzero: the fused gather (bounds-checked a[k], colidx[k], then
+   x[colidx[k]]), the counter's addi.i, and the rotated loop test's
+   load and compare-branch. *)
+let spmv_src =
+  {|
+fn spmv(nrows: i64, a: []f64, colidx: []i64, rowstr: []i64,
+        x: []f64, y: []f64) f64 {
+    var row: i64 = 0;
+    //$omp parallel for shared(a, colidx, rowstr, x, y)
+    while (row < nrows) : (row += 1) {
+        var s: f64 = 0.0;
+        var k: i64 = rowstr[row];
+        while (k < rowstr[row + 1]) : (k += 1) {
+            s += a[k] * x[colidx[k]];
+        }
+        y[row] = s;
+    }
+    return y[0];
+}
+|}
+
+let spmv_golden =
+  "registers: 4 int (iv=i0, upper=i1), 1 float\n\
+  \  farr 0 <- slot 3 'a__ptr' (deref)\n\
+  \  farr 1 <- slot 6 'x__ptr' (deref)\n\
+  \  farr 2 <- slot 7 'y__ptr' (deref)\n\
+  \  iarr 0 <- slot 5 'rowstr__ptr' (deref)\n\
+  \  iarr 1 <- slot 4 'colidx__ptr' (deref)\n\
+   chunk check (all pass => elided code, else guarded):\n\
+  \  y__ptr[iv+0 .. iv+0] in range over the chunk\n\
+  \  rowstr__ptr[iv+0 .. iv+1] in range over the chunk\n\
+   code (elided):\n\
+  \  @0    L25   cmpbr.ii !le i0{iv}, i1{upper}, @66\n\
+  \  @6    L26   ldc.f f0{s}, 0\n\
+  \  @12   L27   ld.iu i2{k}, rowstr__ptr[i0{iv}]   [unguarded]\n\
+  \  @18   L28   ld.iu i3, rowstr__ptr[i0{iv}+1]   [unguarded]\n\
+  \  @24   L28   cmpbr.ii !lt i2{k}, i3, @54\n\
+  \  @30   L29   accmul.ld.ldx.f f0{s} += a__ptr[i2{k}] * x__ptr[colidx__ptr[i2{k}]]\n\
+  \  @36   L28   addi.i i2{k}, i2{k}, 1\n\
+  \  @42   L28   ld.iu i3, rowstr__ptr[i0{iv}+1]   [unguarded]\n\
+  \  @48   L28   cmpbr.ii !ge i2{k}, i3, @30\n\
+  \  @54   L31   st.f y__ptr[i0{iv}], f0{s}   [unguarded]\n\
+  \  @60   L25   addcmple.br i0{iv} += 1, <= i1{upper}, @6\n\
+  \  @66   L25   halt\n\
+   code (guarded twin):\n\
+  \  @0    L25   cmpbr.ii !le i0{iv}, i1{upper}, @72\n\
+  \  @6    L26   ldc.f f0{s}, 0\n\
+  \  @12   L27   ld.i i2{k}, rowstr__ptr[i0{iv}]\n\
+  \  @18   L28   ld.i i3, rowstr__ptr[i0{iv}+1]\n\
+  \  @24   L28   cmpbr.ii !lt i2{k}, i3, @54\n\
+  \  @30   L29   accmul.ld.ldx.f f0{s} += a__ptr[i2{k}] * x__ptr[colidx__ptr[i2{k}]]\n\
+  \  @36   L28   addi.i i2{k}, i2{k}, 1\n\
+  \  @42   L28   ld.i i3, rowstr__ptr[i0{iv}+1]\n\
+  \  @48   L28   cmpbr.ii !ge i2{k}, i3, @30\n\
+  \  @54   L31   chk.f y__ptr[i0{iv}]\n\
+  \  @60   L31   st.f y__ptr[i0{iv}], f0{s}   [unguarded]\n\
+  \  @66   L25   addcmple.br i0{iv} += 1, <= i1{upper}, @6\n\
+  \  @72   L25   halt\n"
+
+let test_spmv_golden () =
+  let nrows = 4 in
+  let label, listing =
+    drain_listing ~name:"spmv.zr" spmv_src "spmv"
+      [ V.VInt nrows; V.VFloatArr (Array.make 8 1.);
+        V.VIntArr (Array.init 8 (fun k -> k mod nrows));
+        V.VIntArr (Array.init (nrows + 1) (fun r -> 2 * r));
+        V.VFloatArr (Array.init nrows float_of_int);
+        V.VFloatArr (Array.make nrows 0.) ]
+  in
+  Alcotest.(check string) "drain label" "__omp_outlined_0#0" label;
+  Alcotest.(check string) "spmv body listing" spmv_golden listing
+
 (* Register allocation of the NPB CG loop bodies: every drain of
    conj_grad specialises (no bailouts), and the register-file header
    of each listing — the allocator's contract — is pinned.             *)
@@ -541,12 +681,12 @@ let test_cg_regalloc_golden () =
   Alcotest.(check (list string)) "per-drain register files"
     [ "__omp_outlined_0#0: registers: 2 int (iv=i0, upper=i1), 1 float";
       "__omp_outlined_0#1: registers: 2 int (iv=i0, upper=i1), 1 float";
-      "__omp_outlined_0#2: registers: 4 int (iv=i0, upper=i1), 3 float";
+      "__omp_outlined_0#2: registers: 4 int (iv=i0, upper=i1), 1 float";
       "__omp_outlined_0#3: registers: 2 int (iv=i0, upper=i1), 1 float";
       "__omp_outlined_0#4: registers: 2 int (iv=i0, upper=i1), 3 float";
       "__omp_outlined_0#5: registers: 2 int (iv=i0, upper=i1), 1 float";
       "__omp_outlined_0#6: registers: 2 int (iv=i0, upper=i1), 3 float";
-      "__omp_outlined_0#7: registers: 4 int (iv=i0, upper=i1), 3 float";
+      "__omp_outlined_0#7: registers: 4 int (iv=i0, upper=i1), 1 float";
       "__omp_outlined_0#8: registers: 2 int (iv=i0, upper=i1), 4 float" ]
     headers
 
@@ -657,8 +797,21 @@ let test_collapse_bytecode () =
 
 (* EP and IS loop bodies call registered host functions (ep_batch and
    the is_ phases), which the planner must refuse: every drain
-   execution is a bailout, and nothing specialises. *)
+   execution is a bailout, nothing specialises, and each drain names
+   the call as its reason. *)
 let test_ep_is_bail () =
+  let reasons name src =
+    let p = Interp.load ~name src in
+    Interp.Compile.bc_listings
+      (Interp.Compile.compile ~bc:{ Interp.Bcgen.elide = true } p)
+  in
+  Alcotest.(check (list (pair string string))) "EP: bail reasons"
+    [ ("__omp_outlined_0#0", "closures: calls 'ep_batch', not a VM builtin\n") ]
+    (reasons "ep_main.zr" Harness.Zr_ep.src);
+  Alcotest.(check (list (pair string string))) "IS: bail reasons"
+    [ ("__omp_outlined_0#0",
+       "closures: calls 'is_bucket_rank', not a VM builtin\n") ]
+    (reasons "is.zr" Harness.Zr_is.src);
   Omprt.Profile.reset ();
   let r = Harness.Zr_ep.run ~backend:`Bytecode ~cls:Npb.Classes.S ~nthreads:2 () in
   (match r.Npb.Result.verification with
@@ -719,6 +872,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_oob_parity;
     Alcotest.test_case "stencil body listing golden" `Quick
       test_stencil_golden;
+    Alcotest.test_case "spmv body listing golden" `Quick test_spmv_golden;
     Alcotest.test_case "CG bodies: register-allocation golden" `Quick
       test_cg_regalloc_golden;
     Alcotest.test_case "collapse(n) drains enter the VM (recover op)" `Quick

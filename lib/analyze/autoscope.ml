@@ -433,16 +433,9 @@ let private_read_first r dir =
     let skip =
       match n.Ast.tag with
       | Ast.Omp_for | Ast.Omp_parallel_for -> (
-          let wn = Ast.node r.ast n.Ast.rhs in
-          if wn.Ast.tag <> Ast.While then Sset.empty
-          else
-            let cond = Ast.node r.ast wn.Ast.lhs in
-            if cond.Ast.tag <> Ast.Bin_op then Sset.empty
-            else
-              let cn = Ast.node r.ast cond.Ast.lhs in
-              if cn.Ast.tag = Ast.Ident then
-                Sset.singleton (Ast.token_text r.ast cn.Ast.main_token)
-              else Sset.empty)
+          match Preproc.Nest.counter r.ast n.Ast.rhs with
+          | Ok (v, false, _) -> Sset.singleton v
+          | _ -> Sset.empty)
       | _ -> Sset.empty
     in
     List.filter_map

@@ -37,6 +37,7 @@
 open Zr
 module D = Ompfront.Directive
 module Names = Preproc.Names
+module Nest = Preproc.Nest
 module Sset = Names.Sset
 
 (* ------------------------------ model ----------------------------- *)
@@ -88,6 +89,7 @@ type loop_info = {
   ub : int option;         (** folded bound expression, if known *)
   linclusive : bool;       (** [<=] / [>=] comparison *)
   step : int option;       (** signed literal step, if known *)
+  trips : int option;      (** iteration count, if known *)
   lnowait : bool;
   static_unchunked : bool;
       (** no schedule clause, [schedule(static)] without chunk, or
@@ -217,24 +219,9 @@ let assign_targets e i =
 
 (* ------------------------- constant folding ----------------------- *)
 
-let rec fold e i : int option =
-  let n = node e i in
-  match n.Ast.tag with
-  | Ast.Int_lit -> int_of_string_opt (text e n.main_token)
-  | Ast.Ident -> Hashtbl.find_opt e.known (text e n.main_token)
-  | Ast.Un_op when tok_tag e n.main_token = Token.Minus ->
-      Option.map (fun v -> -v) (fold e n.lhs)
-  | Ast.Bin_op -> (
-      match (fold e n.lhs, fold e n.rhs) with
-      | Some a, Some b -> (
-          match tok_tag e n.main_token with
-          | Token.Plus -> Some (a + b)
-          | Token.Minus -> Some (a - b)
-          | Token.Star -> Some (a * b)
-          | Token.Slash when b <> 0 -> Some (a / b)
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
+let lookup e = Hashtbl.find_opt e.known
+
+let fold e = Nest.fold ~lookup:(lookup e) e.ast
 
 (* Constant-environment updates for one declaration/assignment.  In
    region scope only per-thread (local) names may keep tracked values:
@@ -307,43 +294,18 @@ let record e ctx ~rw ~var ?sub ?(viacall = false) ?red ~anode () =
         task = ctx.task; red }
       :: e.accesses
 
-(* Subscript classification relative to the governing loop. *)
+(* Subscript classification relative to the governing loop: affine
+   with a unit coefficient in its counter, or constant.  Under a
+   collapsed loop every counter-dependent subscript is opaque. *)
 let classify e ctx idx : sub =
-  let counter_of li i =
-    let n = node e i in
-    n.Ast.tag = Ast.Ident && text e n.main_token = li.counter
+  let li =
+    match ctx.loop with Some li when not li.collapse2 -> Some li | _ -> None
   in
-  let affine li =
-    let n = node e idx in
-    if counter_of li idx then Some (Saffine (li.ldir, 0))
-    else
-      match n.Ast.tag with
-      | Ast.Bin_op -> (
-          let op = tok_tag e n.main_token in
-          match op with
-          | Token.Plus | Token.Minus -> (
-              if counter_of li n.lhs then
-                match fold e n.rhs with
-                | Some k ->
-                    Some
-                      (Saffine (li.ldir, if op = Token.Plus then k else -k))
-                | None -> None
-              else if op = Token.Plus && counter_of li n.rhs then
-                match fold e n.lhs with
-                | Some k -> Some (Saffine (li.ldir, k))
-                | None -> None
-              else None)
-          | _ -> None)
-      | _ -> None
-  in
-  match ctx.loop with
-  | Some li when not li.collapse2 -> (
-      match affine li with
-      | Some s -> s
-      | None -> (
-          match fold e idx with Some k -> Sconst k | None -> Sopaque))
-  | _ -> (
-      match fold e idx with Some k -> Sconst k | None -> Sopaque)
+  let outer = Option.map (fun li -> li.counter) li in
+  match (Nest.affine ~lookup:(lookup e) ?outer e.ast idx, li) with
+  | Some { co = 0; k; _ }, _ -> Sconst k
+  | Some { co = 1; k; _ }, Some li -> Saffine (li.ldir, k)
+  | _ -> Sopaque
 
 (* --------------------- reduction-pattern detection ----------------- *)
 
@@ -433,66 +395,19 @@ let privatised e (cl : D.clauses) =
     Sset.empty
     (cl.D.private_ @ cl.D.firstprivate @ List.map snd cl.D.reductions)
 
-(* Lightweight worksharing-loop decomposition, mirroring
-   [Preproc.Loops.decompose] but tolerant: anything it cannot read
-   degrades to [None] fields instead of failing. *)
-type ws_parts = {
-  w_counter : string;
-  w_counter_node : int;  (* the counter's Ident in the condition *)
-  w_ub_node : int;
-  w_inclusive : bool;
-  w_cont : int;
-  w_body : int;
-  w_step : int option;
-}
-
-let decompose_ws e wh : ws_parts option =
-  let wn = node e wh in
-  if wn.Ast.tag <> Ast.While then None
-  else
-    let cond = node e wn.Ast.lhs in
-    if cond.Ast.tag <> Ast.Bin_op then None
-    else
-      let inclusive =
-        match tok_tag e cond.Ast.main_token with
-        | Token.Lt | Token.Gt -> Some false
-        | Token.Lt_eq | Token.Gt_eq -> Some true
-        | _ -> None
-      in
-      match inclusive with
-      | None -> None
-      | Some w_inclusive -> (
-          let counter =
-            let cl = node e cond.Ast.lhs in
-            match cl.Ast.tag with
-            | Ast.Ident -> Some (text e cl.Ast.main_token, cond.Ast.lhs)
-            | Ast.Deref -> (
-                let b = node e cl.Ast.lhs in
-                match b.Ast.tag with
-                | Ast.Ident -> Some (text e b.Ast.main_token, cl.Ast.lhs)
-                | _ -> None)
-            | _ -> None
-          in
-          match counter with
-          | None -> None
-          | Some (w_counter, w_counter_node) ->
-              let cont = Ast.extra e.ast wn.Ast.rhs in
-              let body = Ast.extra e.ast (wn.Ast.rhs + 1) in
-              if cont = 0 then None
-              else
-                let w_step =
-                  let cn = node e cont in
-                  if cn.Ast.tag <> Ast.Assign then None
-                  else
-                    match tok_tag e cn.Ast.main_token with
-                    | Token.Plus_eq -> fold e cn.Ast.rhs
-                    | Token.Minus_eq ->
-                        Option.map (fun v -> -v) (fold e cn.Ast.rhs)
-                    | _ -> None
-                in
-                Some
-                  { w_counter; w_counter_node; w_ub_node = cond.Ast.rhs;
-                    w_inclusive; w_cont = cont; w_body = body; w_step })
+(* [loop_info] of a worksharing, taskloop or sequential loop: bounds
+   and step fold through the constant environment as it stands at the
+   loop's entry. *)
+let loop_info e ~ldir (l : Nest.loop) ~lnowait ~static_unchunked ~collapse2 =
+  let lb = lookup e l.counter and ub = fold e l.bound in
+  let step =
+    match l.step with
+    | Ok s -> Option.map (fun v -> s.sign * v) (fold e s.node)
+    | Error _ -> None
+  in
+  { ldir; counter = l.counter; lb; ub; linclusive = l.inclusive; step;
+    trips = Nest.trips l ~lb ~ub ~step; lnowait; static_unchunked;
+    collapse2 }
 
 let rec scan_stmt e ctx s =
   let n = node e s in
@@ -516,18 +431,15 @@ let rec scan_stmt e ctx s =
       let sli =
         if ctx.inloop then None
         else
-          match decompose_ws e s with
-          | Some p ->
+          match Nest.read e.ast s with
+          | Ok l ->
               let li =
-                { ldir = s; counter = p.w_counter;
-                  lb = Hashtbl.find_opt e.known p.w_counter;
-                  ub = fold e p.w_ub_node; linclusive = p.w_inclusive;
-                  step = p.w_step; lnowait = true;
-                  static_unchunked = false; collapse2 = false }
+                loop_info e ~ldir:s l ~lnowait:true ~static_unchunked:false
+                  ~collapse2:false
               in
               e.sloops <- (s, li) :: e.sloops;
               Some li
-          | None -> None
+          | Error _ -> None
       in
       kill_assigned e s;
       let p_entry = e.phase in
@@ -691,12 +603,10 @@ and scan_expr e ctx x =
   | _ -> List.iter (scan_expr e ctx) (Names.children e.ast x)
 
 and scan_ws e ctx dir (cl : D.clauses) wh ~combine_late =
-  match decompose_ws e wh with
-  | None -> scan_stmt e ctx wh  (* malformed: scan redundantly *)
-  | Some p ->
+  match Nest.read e.ast wh with
+  | Error _ -> scan_stmt e ctx wh  (* malformed: scan redundantly *)
+  | Ok p ->
       let collapse2 = cl.D.flags.collapse >= 2 in
-      let lb = Hashtbl.find_opt e.known p.w_counter in
-      let ub = fold e p.w_ub_node in
       let static_unchunked =
         match cl.D.schedule with
         | None | Some (Omp_model.Sched.Static None) | Some Omp_model.Sched.Auto
@@ -705,45 +615,29 @@ and scan_ws e ctx dir (cl : D.clauses) wh ~combine_late =
         | Some _ -> false
       in
       let li =
-        { ldir = dir; counter = p.w_counter; lb; ub;
-          linclusive = p.w_inclusive; step = p.w_step;
-          lnowait = cl.D.flags.nowait; static_unchunked; collapse2 }
+        loop_info e ~ldir:dir p ~lnowait:cl.D.flags.nowait ~static_unchunked
+          ~collapse2
       in
       e.loops <- (dir, li) :: e.loops;
       (* the loop reads its lower bound and bound expression on entry *)
-      record e ctx ~rw:`R ~var:p.w_counter ~anode:p.w_counter_node ();
-      scan_expr e ctx p.w_ub_node;
+      record e ctx ~rw:`R ~var:p.counter ~anode:p.counter_node ();
+      scan_expr e ctx p.bound;
       List.iter
         (fun id ->
           record e ctx ~rw:`R ~var:(clause_name e id) ~anode:id ())
         cl.D.firstprivate;
       let privat' =
-        Sset.add p.w_counter (Sset.union (privatised e cl) ctx.privat)
+        Sset.add p.counter (Sset.union (privatised e cl) ctx.privat)
       in
-      (* collapse(2): the body must be [init; inner while]; the inner
-         counter is privatised too and subscripts degrade to opaque *)
-      let privat', body =
-        if collapse2 then
-          match
-            let bn = node e p.w_body in
-            if bn.Ast.tag = Ast.Block then Ast.block_stmts e.ast p.w_body
-            else []
-          with
-          | [ init; inner ] when (node e inner).Ast.tag = Ast.While -> (
-              let inner_counter =
-                let inn = node e init in
-                match inn.Ast.tag with
-                | Ast.Var_decl | Ast.Const_decl ->
-                    Some (text e inn.Ast.main_token)
-                | Ast.Assign when (node e inn.Ast.lhs).Ast.tag = Ast.Ident ->
-                    Some (text e (node e inn.Ast.lhs).Ast.main_token)
-                | _ -> None
-              in
-              match inner_counter with
-              | Some c -> (Sset.add c privat', p.w_body)
-              | None -> (privat', p.w_body))
-          | _ -> (privat', p.w_body)
-        else (privat', p.w_body)
+      (* collapse(2): the body is [init; inner while]; the inner counter
+         is privatised too and subscripts degrade to opaque *)
+      let privat' =
+        match (collapse2, Nest.level e.ast p.body) with
+        | true, Ok (_, inner) -> (
+            match Nest.read e.ast inner with
+            | Ok il -> Sset.add il.counter privat'
+            | Error _ -> privat')
+        | _ -> privat'
       in
       let ctx' =
         { ctx with
@@ -755,9 +649,9 @@ and scan_ws e ctx dir (cl : D.clauses) wh ~combine_late =
           seqloop = (if ctx.inloop then None else Some li) }
       in
       kill_assigned e wh;
-      scan_stmt e ctx' body;
+      scan_stmt e ctx' p.body;
       e.seq <- e.seq + 1;
-      scan_stmt e ctx' p.w_cont;
+      scan_stmt e ctx' p.cont;
       (* reduction combines: each thread merges its accumulator into
          the shared cell under the reduction critical section *)
       let combines () =
@@ -856,19 +750,17 @@ and scan_task e ctx dir =
 and scan_taskloop e ctx dir =
   let cl = Ast.clauses e.ast dir in
   let wh = (node e dir).Ast.rhs in
-  match decompose_ws e wh with
-  | None -> scan_stmt e ctx wh (* malformed: scan redundantly *)
-  | Some p ->
+  match Nest.read e.ast wh with
+  | Error _ -> scan_stmt e ctx wh (* malformed: scan redundantly *)
+  | Ok p ->
       let li =
-        { ldir = dir; counter = p.w_counter;
-          lb = Hashtbl.find_opt e.known p.w_counter; ub = fold e p.w_ub_node;
-          linclusive = p.w_inclusive; step = p.w_step; lnowait = true;
-          static_unchunked = false; collapse2 = false }
+        loop_info e ~ldir:dir p ~lnowait:true ~static_unchunked:false
+          ~collapse2:false
       in
       e.sloops <- (dir, li) :: e.sloops;
       (* entry: lower bound, bound expression and firstprivate reads *)
-      record e ctx ~rw:`R ~var:p.w_counter ~anode:p.w_counter_node ();
-      scan_expr e ctx p.w_ub_node;
+      record e ctx ~rw:`R ~var:p.counter ~anode:p.counter_node ();
+      scan_expr e ctx p.bound;
       List.iter
         (fun id -> record e ctx ~rw:`R ~var:(clause_name e id) ~anode:id ())
         cl.D.firstprivate;
@@ -886,14 +778,14 @@ and scan_taskloop e ctx dir =
           privat =
             List.fold_left
               (fun s v -> Sset.add v s)
-              (Sset.add p.w_counter ctx.privat)
+              (Sset.add p.counter ctx.privat)
               (snapshot_names e caps);
           loop = Some li }
       in
       kill_assigned e wh;
-      scan_stmt e bctx p.w_body;
+      scan_stmt e bctx p.body;
       e.seq <- e.seq + 1;
-      scan_stmt e bctx p.w_cont;
+      scan_stmt e bctx p.cont;
       (* the lowering closes the construct with a taskwait: every open
          direct child of the encountering frame joins here (its own
          chunks unconditionally — if the construct did not run, there
@@ -954,9 +846,9 @@ let ws_counters e dir =
       let n = node e j in
       match n.Ast.tag with
       | Ast.Omp_for | Ast.Omp_parallel_for -> (
-          match decompose_ws e n.Ast.rhs with
-          | Some p -> acc := Sset.add p.w_counter !acc
-          | None -> ())
+          match Nest.read e.ast n.Ast.rhs with
+          | Ok p -> acc := Sset.add p.counter !acc
+          | Error _ -> ())
       | _ -> ());
   !acc
 

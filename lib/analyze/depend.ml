@@ -44,36 +44,26 @@ type conflict = {
 
 (* ------------------------------ helpers --------------------------- *)
 
-let trips (li : Df.loop_info) : int option =
-  match (li.lb, li.ub, li.step) with
-  | Some lb, Some ub, Some s when s <> 0 ->
-      let last =
-        if li.linclusive then ub else if s > 0 then ub - 1 else ub + 1
-      in
-      let d = if s > 0 then last - lb else lb - last in
-      Some (if d < 0 then 0 else (d / abs s) + 1)
-  | _ -> None
-
 (* Distributed conflicts are PROVEN only when a static-unchunked
    schedule with at least two iterations guarantees two different
    threads execute conflicting iterations. *)
 let split_proven li =
   li.Df.static_unchunked
-  && (match trips li with Some t -> t >= 2 | None -> false)
+  && (match li.Df.trips with Some t -> t >= 2 | None -> false)
 
 (* The element interval touched by [counter + c] over the whole loop.
    The interval arithmetic lives in {!Omp_model.Subscript} so the
    bytecode tier's guard elision provably applies the same reasoning
    per chunk. *)
 let affine_interval li c =
-  match (li.Df.lb, li.Df.step, trips li) with
+  match (li.Df.lb, li.Df.step, li.Df.trips) with
   | Some lb, Some s, Some t ->
       Omp_model.Subscript.affine_interval ~lb ~step:s ~trips:t c
   | _ -> None
 
 (* Is constant element [k] ever touched by [counter + c]? *)
 let affine_hits li c k =
-  match (li.Df.lb, li.Df.step, trips li) with
+  match (li.Df.lb, li.Df.step, li.Df.trips) with
   | Some lb, Some s, Some t ->
       Omp_model.Subscript.affine_hits ~lb ~step:s ~trips:t c k
   | _ -> None
@@ -144,7 +134,7 @@ let same_loop_pair li (a : Df.access) (b : Df.access) :
                 Omp_model.Depvec.(dir_to_string (dir_of_distance d))
               in
               let carried = Some { distance = abs d; direction = dir } in
-              (match trips li with
+              (match li.Df.trips with
                | Some t when abs d >= t -> (VNone, None)
                | Some t when t >= 2 ->
                    (* a contiguous split over two threads separates
@@ -234,7 +224,7 @@ let instance_pair li_opt (i : Df.task_info) c1 c2 : verdict * carried option =
                   Omp_model.Depvec.(dir_to_string (dir_of_distance d))
                 in
                 let carried = Some { distance = abs d; direction = dir } in
-                let t = trips li in
+                let t = li.Df.trips in
                 (match t with
                  | Some t when abs d >= t -> (VNone, None)
                  | Some t when t <= i.Df.tgrain ->

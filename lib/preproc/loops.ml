@@ -1,11 +1,11 @@
 (** Pass: worksharing loops → [__kmpc_for_static_*] / [__kmpc_dispatch_*].
 
     Reproduces the paper's section III-B2.  The bounds are recovered
-    syntactically from the Zig-style [while] loop: the lower bound is
-    the counter's value on entry, the upper bound is the right-hand side
-    of the comparison, the comparison operator decides inclusivity, and
-    the increment comes from the right-hand side of the compound
-    assignment in the continuation expression.  Static unchunked loops
+    syntactically from the Zig-style [while] loop, by {!Nest}: the lower
+    bound is the counter's value on entry, the upper bound is the
+    right-hand side of the comparison, the comparison operator decides
+    inclusivity, and the increment comes from the right-hand side of the
+    compound assignment in the continuation expression.  Static unchunked loops
     lower to the [for_static_init/fini] pair; chunked static, dynamic,
     guided and runtime schedules lower to the dispatcher protocol
     ([dispatch_init]/[dispatch_next]).
@@ -29,127 +29,31 @@ let combine_expr op target tmp =
   | Directive.Rmin -> Printf.sprintf "%s = __omp_min(%s, %s);" target target tmp
   | Directive.Rmax -> Printf.sprintf "%s = __omp_max(%s, %s);" target target tmp
 
-type loop_parts = {
-  counter_base : string;   (* identifier at the heart of the condition *)
-  counter_is_ptr : bool;
-  upper : int;             (* node: RHS of the comparison *)
-  inclusive : bool;
-  cont : int;              (* node: continuation assignment *)
-  step_text : string;      (* step expression, sign included *)
-  body : int;              (* node: loop body block *)
-}
-
-let decompose (c : Synth.ctx) dir wh : loop_parts =
-  let ast = c.ast in
-  let fail_at node fmt =
-    Source.error ast.Ast.source
-      (Ast.token ast (Ast.node ast node).Ast.main_token).Token.start
-      fmt
-  in
-  let wn = Ast.node ast wh in
-  let cond = Ast.node ast wn.Ast.lhs in
-  (if cond.Ast.tag <> Ast.Bin_op then
-     fail_at dir "worksharing loop: condition must be a comparison");
-  let optok = (Ast.token ast cond.Ast.main_token).Token.tag in
-  let inclusive =
-    match optok with
-    | Token.Lt | Token.Gt -> false
-    | Token.Lt_eq | Token.Gt_eq -> true
-    | _ -> fail_at dir "worksharing loop: unsupported comparison operator"
-  in
-  let counter_base, counter_is_ptr =
-    let lhs = Ast.node ast cond.Ast.lhs in
-    match lhs.Ast.tag with
-    | Ast.Ident -> (Ast.token_text ast lhs.Ast.main_token, false)
-    | Ast.Deref ->
-        let inner = Ast.node ast lhs.Ast.lhs in
-        if inner.Ast.tag = Ast.Ident then
-          (Ast.token_text ast inner.Ast.main_token, true)
-        else fail_at dir "worksharing loop: unsupported counter expression"
-    | _ -> fail_at dir "worksharing loop: the comparison must start with \
-                        the loop counter"
-  in
-  let cont = Ast.extra ast wn.Ast.rhs in
-  let body = Ast.extra ast (wn.Ast.rhs + 1) in
-  (if cont = 0 then
-     fail_at dir
-       "worksharing loop: the while loop needs a continuation expression \
-        to determine the increment");
-  let cn = Ast.node ast cont in
-  (if cn.Ast.tag <> Ast.Assign then
-     fail_at dir "worksharing loop: unsupported continuation expression");
-  let step_text =
-    let rhs_text = Synth.node_text c cn.Ast.rhs in
-    match (Ast.token ast cn.Ast.main_token).Token.tag with
-    | Token.Plus_eq -> rhs_text
-    | Token.Minus_eq -> "-(" ^ rhs_text ^ ")"
-    | _ ->
-        fail_at dir
-          "worksharing loop: the continuation must be a compound \
-           increment (+= or -=)"
-  in
-  { counter_base; counter_is_ptr; upper = cond.Ast.rhs; inclusive;
-    cont; step_text; body }
-
-(* Collapse: each collapsed loop's body must be the canonical nest — an
-   initialisation of the next counter (assignment or var decl with
-   init) directly followed by the next while.  Returns the inner
-   counter's init expression node and the inner loop node. *)
-let decompose_nest (c : Synth.ctx) dir outer_body =
-  let ast = c.ast in
-  let fail () =
-    Source.error ast.Ast.source
-      (Ast.token ast (Ast.node ast dir).Ast.main_token).Token.start
-      "collapse: each collapsed loop body must contain exactly the next \
-       counter initialisation followed by the next while loop"
-  in
-  match Ast.block_stmts ast outer_body with
-  | [ init; inner ] ->
-      let inner_node = Ast.node ast inner in
-      if inner_node.Ast.tag <> Ast.While then fail ();
-      let init_node = Ast.node ast init in
-      let init_expr =
-        match init_node.Ast.tag with
-        | Ast.Assign
-          when (Ast.token ast init_node.Ast.main_token).Token.tag = Token.Eq
-          -> init_node.Ast.rhs
-        | Ast.Var_decl when init_node.Ast.rhs <> 0 -> init_node.Ast.rhs
-        | _ -> fail ()
-      in
-      (init_expr, inner)
-  | _ -> fail ()
+(* The step as text, sign included: [s] for [+= s], [-(s)] for [-= s]. *)
+let step_text (c : Synth.ctx) (s : Nest.step) =
+  let t = Synth.node_text c s.Nest.node in
+  if s.sign > 0 then t else "-(" ^ t ^ ")"
 
 let plan_loop (c : Synth.ctx) dir : Synth.replacement =
   let ast = c.ast in
   let node = Ast.node ast dir in
   let cl = Ast.clauses ast dir in
   let wh = node.Ast.rhs in
-  let lp = decompose c dir wh in
-  let depth = max 1 cl.flags.Packed.collapse in
-  (* Levels 1..depth-1 of the collapsed nest, outermost first: the init
-     expression of each counter and the decomposed loop.  A body that is
-     not a canonical nest at some level is a hard (diagnosed) error —
-     collapse is never silently ignored. *)
-  let nest_levels =
-    let rec chain body k acc =
-      if k >= depth then List.rev acc
-      else
-        let init_expr, inner = decompose_nest c dir body in
-        let ilp = decompose c dir inner in
-        chain ilp.body (k + 1) ((init_expr, ilp) :: acc)
-    in
-    chain lp.body 1 []
-  in
+  (* The pragma's loop, then levels 1..depth-1 of the collapsed nest,
+     outermost first.  A body that is not a canonical nest at some level
+     is a hard (diagnosed) error — collapse is never silently ignored. *)
+  let lp, lp_step, nest_levels = Nest.lowered ast dir in
+  let depth = 1 + List.length nest_levels in
   let collapsed = depth >= 2 in
   (* Collapsed counter name at nest level [k] (0 = the pragma's loop). *)
   let cname k = Printf.sprintf "__omp_c%d" k in
   let level_of name =
-    if name = lp.counter_base then Some 0
+    if name = lp.Nest.counter then Some 0
     else
       let rec find k = function
         | [] -> None
-        | (_, ilp) :: rest ->
-            if ilp.counter_base = name then Some k else find (k + 1) rest
+        | (_, (ilp : Nest.loop), _) :: rest ->
+            if ilp.counter = name then Some k else find (k + 1) rest
       in
       find 1 nest_levels
   in
@@ -181,18 +85,16 @@ let plan_loop (c : Synth.ctx) dir : Synth.replacement =
       ~last_token:(Synth.node_last_token c node_)
       ~consume_deref:consume ~code:map ~pragma:map ()
   in
-  let upper_text = rw lp.upper in
+  let upper_text = rw lp.bound in
   let cont_text = rw lp.cont in
   let body_text =
     (* only the innermost body runs *)
     match List.rev nest_levels with
     | [] -> rw lp.body
-    | (_, innermost) :: _ -> rw innermost.body
+    | (_, (innermost : Nest.loop), _) :: _ -> rw innermost.body
   in
-  let counter_value =
-    if lp.counter_is_ptr then lp.counter_base ^ ".*" else lp.counter_base
-  in
-  let step = lp.step_text in
+  let counter_value = if lp.is_ptr then lp.counter ^ ".*" else lp.counter in
+  let step = step_text c lp_step in
   let incl = if lp.inclusive then "1" else "0" in
   let b = Buffer.create 512 in
   let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -216,16 +118,16 @@ let plan_loop (c : Synth.ctx) dir : Synth.replacement =
     else begin
       bpf "    var __omp_lb0 = %s;\n" counter_value;
       List.iteri
-        (fun idx (init_expr, _) ->
+        (fun idx (init_expr, _, _) ->
           bpf "    var __omp_lb%d = %s;\n" (idx + 1) (rw init_expr))
         nest_levels;
       bpf "    var __omp_n0 = __omp_trips(__omp_lb0, %s, %s, %s);\n"
         upper_text step incl;
       List.iteri
-        (fun idx (_, ilp) ->
+        (fun idx (_, (ilp : Nest.loop), s) ->
           let k = idx + 1 in
           bpf "    var __omp_n%d = __omp_trips(__omp_lb%d, %s, %s, %s);\n"
-            k k (rw ilp.upper) ilp.step_text
+            k k (rw ilp.bound) (step_text c s)
             (if ilp.inclusive then "1" else "0"))
         nest_levels;
       bpf "    var __omp_d%d = 1;\n" (depth - 1);
@@ -250,7 +152,8 @@ let plan_loop (c : Synth.ctx) dir : Synth.replacement =
       let buf = Buffer.create 256 in
       Buffer.add_string buf "{\n";
       let steps =
-        lp.step_text :: List.map (fun (_, ilp) -> ilp.step_text) nest_levels
+        List.map (step_text c)
+          (lp_step :: List.map (fun (_, _, s) -> s) nest_levels)
       in
       List.iteri
         (fun k step_k ->

@@ -64,6 +64,18 @@ let converge ~(next : string -> 'a) (round : 'a -> string option) (x : 'a) :
 let fixpoint (f : string -> string option) source =
   converge ~next:Fun.id f source
 
+(* Every worksharing loop's form, with its collapse chain, is checked
+   once on the user's text, so a loop-form error names the user's line
+   rather than a line of the outlined text the lowering passes read. *)
+let check_loops (c : Synth.ctx) =
+  Array.iteri
+    (fun dir (n : Zr.Ast.node) ->
+      match n.tag with
+      | Omp_for | Omp_parallel_for | Omp_taskloop ->
+          ignore (Nest.lowered c.ast dir)
+      | _ -> ())
+    c.ast.nodes
+
 (** [run_parsed ?name source] — the full pipeline, returning the parse
     of the output: Zr with OpenMP pragmas in, plain Zr calling the
     [.omp.internal] runtime out. *)
@@ -79,9 +91,9 @@ let run_parsed ?(name = "<input>") (source : string) : Synth.ctx =
     | Sync -> Sync.sync_round
   in
   let parse = Synth.parse ~name in
-  List.fold_left
-    (fun c step -> converge ~next:parse (round step) c)
-    (parse source) steps
+  let c = parse source in
+  check_loops c;
+  List.fold_left (fun c step -> converge ~next:parse (round step) c) c steps
 
 (** [run ?name source] — the output text of {!run_parsed}. *)
 let run ?name source = Synth.text (run_parsed ?name source)

@@ -186,15 +186,13 @@ let plan_taskloop (c : Synth.ctx) dir : plan =
   let node = Ast.node ast dir in
   let cl = Ast.clauses ast dir in
   let wh = node.Ast.rhs in
-  let lp = Loops.decompose c dir wh in
+  let lp, lp_step, _ = Nest.lowered ast dir in
   let g = max 1 cl.grainsize in
   let name_of = Synth.ident_name c in
   let priv = List.map name_of cl.private_ in
   let fp = List.map name_of cl.firstprivate in
   (* privatise the counter into the per-task induction variable *)
-  let map name =
-    if name = lp.Loops.counter_base then Some "__omp_tl_iv" else None
-  in
+  let map name = if name = lp.Nest.counter then Some "__omp_tl_iv" else None in
   let rw n =
     Synth.rewrite_range c
       ~first_token:(Synth.node_first_token c n)
@@ -202,14 +200,11 @@ let plan_taskloop (c : Synth.ctx) dir : plan =
       ~consume_deref:(fun name -> map name <> None)
       ~code:map ~pragma:map ()
   in
-  let upper_text = rw lp.Loops.upper in
-  let body_text = rw lp.Loops.body in
-  let counter_value =
-    if lp.Loops.counter_is_ptr then lp.Loops.counter_base ^ ".*"
-    else lp.Loops.counter_base
-  in
-  let step = lp.Loops.step_text in
-  let incl = if lp.Loops.inclusive then "1" else "0" in
+  let upper_text = rw lp.bound in
+  let body_text = rw lp.body in
+  let counter_value = if lp.is_ptr then lp.counter ^ ".*" else lp.counter in
+  let step = Loops.step_text c lp_step in
+  let incl = if lp.inclusive then "1" else "0" in
   let clause_text =
     Synth.print_list_clause "firstprivate" fp
     ^ Synth.print_list_clause "private" priv

@@ -65,104 +65,40 @@ let warn_once key fmt =
     fmt
 
 (* ------------------------------------------------------------------ *)
-(* Loop-nest recovery.  [Loops.decompose] hard-fails on non-canonical
-   loops (correct for the lowering pass); here the same shapes are a
-   refusal, so the failures are caught.  Transforms additionally need a
-   literal step whose sign agrees with the comparison direction.       *)
+(* Loop-nest recovery through {!Nest}.  A header the lowering would
+   reject is a refusal here; transforms additionally need a literal
+   step, which {!Nest.step_fault} judges as the lowering does.        *)
 
 type loop = {
-  counter : string;
-  is_ptr : bool;
-  op_incl : bool;           (* <= / >= rather than < / > *)
-  op_up : bool;             (* counting up (< / <=) *)
+  h : Nest.loop;
   upper_text : string;
-  upper_node : int;
   step : int;               (* literal step, sign included *)
-  lb_lit : int option;      (* literal lower bound, when recoverable *)
-  ub_lit : int option;
-  body : int;               (* node: body block *)
-  wh : int;                 (* node: the while itself *)
+  trips : int option;       (* when both bounds fold to literals *)
 }
 
-let literal_int (c : Synth.ctx) node : int option =
-  let ast = c.ast in
-  let n = Ast.node ast node in
-  match n.Ast.tag with
-  | Ast.Int_lit -> int_of_string_opt (Ast.token_text ast n.Ast.main_token)
-  | Ast.Un_op
-    when (Ast.token ast n.Ast.main_token).Token.tag = Token.Minus -> (
-      let l = Ast.node ast n.Ast.lhs in
-      if l.Ast.tag <> Ast.Int_lit then None
-      else
-        match int_of_string_opt (Ast.token_text ast l.Ast.main_token) with
-        | Some v -> Some (-v)
-        | None -> None)
-  | _ -> None
-
-(* Recover one canonical counted loop.  [init] is the counter's
-   initialisation expression node when the caller can see it (the inner
-   loop of a nest); the outer counter is initialised before the pragma,
-   out of reach. *)
-let recover (c : Synth.ctx) dir wh ~(init : int option) :
-    (loop, string) result =
-  let ast = c.ast in
-  match Loops.decompose c dir wh with
-  | exception Source.Error _ -> Error "not a canonical counted loop"
-  | lp -> (
-      let wn = Ast.node ast wh in
-      let cond = Ast.node ast wn.Ast.lhs in
-      let op_up, op_incl =
-        match (Ast.token ast cond.Ast.main_token).Token.tag with
-        | Token.Lt -> (true, false)
-        | Token.Lt_eq -> (true, true)
-        | Token.Gt -> (false, false)
-        | Token.Gt_eq -> (false, true)
-        | _ -> (true, false) (* unreachable: decompose accepted it *)
-      in
-      let cont = Ast.extra ast wn.Ast.rhs in
-      let cn = Ast.node ast cont in
-      let step =
-        match literal_int c cn.Ast.rhs with
-        | None -> None
-        | Some s -> (
-            match (Ast.token ast cn.Ast.main_token).Token.tag with
-            | Token.Plus_eq -> Some s
-            | Token.Minus_eq -> Some (-s)
-            | _ -> None)
-      in
-      match step with
+(* Recover one canonical counted loop.  [lb counter] is the counter's
+   literal value on entry, when the caller can see its initialisation. *)
+let recover (c : Synth.ctx) wh ~lb : (loop, string) result =
+  match Nest.read c.ast wh with
+  | Error _ | Ok { step = Error _; _ } -> Error "not a canonical counted loop"
+  | Ok ({ step = Ok s; _ } as h) -> (
+      match Nest.fold c.ast s.node with
       | None -> Error "the loop step is not an integer literal"
-      | Some 0 -> Error "the loop step is zero"
-      | Some s when (s > 0) <> op_up ->
-          Error "the loop step runs against the comparison direction"
-      | Some s ->
-          let lb_lit =
-            match init with Some e -> literal_int c e | None -> None
-          in
-          Ok
-            { counter = lp.Loops.counter_base; is_ptr = lp.counter_is_ptr;
-              op_incl; op_up; upper_text = Synth.node_text c lp.upper;
-              upper_node = lp.upper; step = s;
-              lb_lit; ub_lit = literal_int c lp.upper;
-              body = lp.body; wh })
-
-(* The canonical 2-nest under [outer]: body = [inner init; inner while].
-   [Ok None] when the body is not a nest at all (fine for 1-D
-   transforms); [Error] when it is a nest but the inner loop cannot be
-   analysed. *)
-let recover_nest (c : Synth.ctx) dir (outer : loop) :
-    ((loop * int) option, string) result =
-  match Loops.decompose_nest c dir outer.body with
-  | exception Source.Error _ -> Ok None
-  | init_expr, inner_wh -> (
-      match recover c dir inner_wh ~init:(Some init_expr) with
-      | Error e -> Error ("inner loop: " ^ e)
-      | Ok inner -> Ok (Some (inner, init_expr)))
+      | Some v -> (
+          let step = s.sign * v in
+          match Nest.step_fault h step with
+          | Some reason -> Error reason
+          | None ->
+              let trips =
+                Nest.trips h ~lb:(lb h.counter) ~ub:(Nest.fold c.ast h.bound)
+                  ~step:(Some step)
+              in
+              Ok { h; upper_text = Synth.node_text c h.bound; step; trips }))
 
 (* The outer counter's initialisation is the statement just before the
-   pragma in its enclosing block, out of [Loops.decompose]'s reach;
-   recover a literal value from it so trip counts can bound the
-   dependence windows. *)
+   pragma in its enclosing block, out of the header's reach; recover a
+   literal value from it so trip counts can bound the dependence
+   windows. *)
 let outer_lb (c : Synth.ctx) dir ~counter : int option =
   let ast = c.ast in
   let found = ref None in
@@ -182,7 +118,7 @@ let outer_lb (c : Synth.ctx) dir ~counter : int option =
             | Ast.Var_decl
               when p.Ast.rhs <> 0
                    && Ast.token_text ast p.Ast.main_token = counter ->
-                found := literal_int c p.Ast.rhs
+                found := Nest.fold ast p.Ast.rhs
             | Ast.Assign
               when (Ast.token ast p.Ast.main_token).Token.tag = Token.Eq
               ->
@@ -190,75 +126,21 @@ let outer_lb (c : Synth.ctx) dir ~counter : int option =
                 if
                   l.Ast.tag = Ast.Ident
                   && Ast.token_text ast l.Ast.main_token = counter
-                then found := literal_int c p.Ast.rhs
+                then found := Nest.fold ast p.Ast.rhs
             | _ -> ())
       end)
     ast.Ast.nodes;
   !found
 
-let trips (l : loop) : int option =
-  match (l.lb_lit, l.ub_lit) with
-  | Some lb, Some ub ->
-      let last =
-        if l.op_incl then ub else if l.step > 0 then ub - 1 else ub + 1
-      in
-      let d = if l.step > 0 then last - lb else lb - last in
-      Some (if d < 0 then 0 else (d / abs l.step) + 1)
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Literal-affine subscripts over the nest's counters:
-   [co*outer + ci*inner + k], all coefficients integer literals.       *)
-
-type lin = { co : int; ci : int; k : int }
-
-let rec lin_of (c : Synth.ctx) ~outer ~inner node : lin option =
-  let ast = c.ast in
-  let n = Ast.node ast node in
-  let counter_of name =
-    if name = outer then Some { co = 1; ci = 0; k = 0 }
-    else if inner = Some name then Some { co = 0; ci = 1; k = 0 }
-    else None
-  in
-  match n.Ast.tag with
-  | Ast.Int_lit -> (
-      match int_of_string_opt (Ast.token_text ast n.Ast.main_token) with
-      | Some v -> Some { co = 0; ci = 0; k = v }
-      | None -> None)
-  | Ast.Ident -> counter_of (Ast.token_text ast n.Ast.main_token)
-  | Ast.Deref -> (
-      let l = Ast.node ast n.Ast.lhs in
-      if l.Ast.tag <> Ast.Ident then None
-      else counter_of (Ast.token_text ast l.Ast.main_token))
-  | Ast.Un_op when (Ast.token ast n.Ast.main_token).Token.tag = Token.Minus
-    -> (
-      match lin_of c ~outer ~inner n.Ast.lhs with
-      | Some a -> Some { co = -a.co; ci = -a.ci; k = -a.k }
-      | None -> None)
-  | Ast.Bin_op -> (
-      match
-        (lin_of c ~outer ~inner n.Ast.lhs, lin_of c ~outer ~inner n.Ast.rhs)
-      with
-      | Some a, Some b -> (
-          match (Ast.token ast n.Ast.main_token).Token.tag with
-          | Token.Plus ->
-              Some { co = a.co + b.co; ci = a.ci + b.ci; k = a.k + b.k }
-          | Token.Minus ->
-              Some { co = a.co - b.co; ci = a.ci - b.ci; k = a.k - b.k }
-          | Token.Star ->
-              if a.co = 0 && a.ci = 0 then
-                Some { co = a.k * b.co; ci = a.k * b.ci; k = a.k * b.k }
-              else if b.co = 0 && b.ci = 0 then
-                Some { co = b.k * a.co; ci = b.k * a.ci; k = b.k * a.k }
-              else None
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Body access collection.                                             *)
 
-type access = { base : string; idx : lin option; w : bool; guarded : bool }
+type access = {
+  base : string;
+  idx : Nest.affine option;
+  w : bool;
+  guarded : bool;
+}
 
 type facts = {
   mutable accs : access list;
@@ -296,7 +178,7 @@ let collect (c : Synth.ctx) ~outer ~inner ~counters body : facts =
     | None -> block fa "unsupported array base expression"
     | Some base ->
         fa.accs <-
-          { base; idx = lin_of c ~outer ~inner idx_node; w; guarded }
+          { base; idx = Nest.affine ~outer ?inner ast idx_node; w; guarded }
           :: fa.accs
   in
   let pure_callee node =
@@ -389,7 +271,7 @@ let collect (c : Synth.ctx) ~outer ~inner ~counters body : facts =
    unit vectors in the free dimension.  [Error] when the vectors cannot
    be enumerated (non-literal inner bounds leave the dj window
    unbounded). *)
-let pair_vectors ~ao ~ai ~to_ ~ti (l1 : lin) (l2 : lin) :
+let pair_vectors ~ao ~ai ~to_ ~ti (l1 : Nest.affine) (l2 : Nest.affine) :
     ((int * int) list, string) result =
   let delta = l2.k - l1.k in
   let within_o di = match to_ with Some t -> abs di < t | None -> true in
@@ -440,8 +322,8 @@ type deps = {
 let dependences ~(outer : loop) ~(inner : loop option) (fa : facts) : deps =
   let so = outer.step in
   let si = match inner with Some l -> l.step | None -> 1 in
-  let to_ = trips outer in
-  let ti = match inner with Some l -> trips l | None -> Some 1 in
+  let to_ = outer.trips in
+  let ti = match inner with Some l -> l.trips | None -> Some 1 in
   let accs = Array.of_list fa.accs in
   let n = Array.length accs in
   let vectors = ref [] and all_ung = ref true and unknown = ref None in
@@ -576,7 +458,7 @@ let check_group ~line ~clause ~which ~factor d =
 (* Emission.                                                           *)
 
 let op_str (l : loop) =
-  match (l.op_up, l.op_incl) with
+  match (l.h.up, l.h.inclusive) with
   | true, false -> "<"
   | true, true -> "<="
   | false, false -> ">"
@@ -585,7 +467,7 @@ let op_str (l : loop) =
 let strict_str (l : loop) = if l.step > 0 then "<" else ">"
 
 let counter_value (l : loop) =
-  if l.is_ptr then l.counter ^ ".*" else l.counter
+  if l.h.is_ptr then l.h.counter ^ ".*" else l.h.counter
 
 (* [x += d] / [x -= d] with the literal kept positive. *)
 let cont_str name d =
@@ -643,11 +525,11 @@ let emit_unroll (c : Synth.ctx) (l : loop) ~u : string =
   let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   bpf "while (%s %s %s) : (%s) {\n" cv (op_str l) l.upper_text
     (cont_str cv (u * l.step));
-  bpf "    %s\n" (Synth.node_text c l.body);
+  bpf "    %s\n" (Synth.node_text c l.h.body);
   for kk = 1 to u - 1 do
     let repl = Printf.sprintf "(%s)" (offset_str cv (kk * l.step)) in
     bpf "    if (%s %s %s) %s\n" repl (op_str l) l.upper_text
-      (rw_counters c [ (l.counter, repl) ] l.body)
+      (rw_counters c [ (l.h.counter, repl) ] l.h.body)
   done;
   bpf "}";
   Buffer.contents b
@@ -666,7 +548,7 @@ let emit_tile1 (c : Synth.ctx) (l : loop) ~t ~uid : string =
     l.upper_text p (strict_str l)
     (offset_str cv (t * l.step))
     (cont_str p l.step)
-    (rw_counters c [ (l.counter, p) ] l.body);
+    (rw_counters c [ (l.h.counter, p) ] l.h.body);
   bpf "}";
   Buffer.contents b
 
@@ -679,7 +561,9 @@ let emit_tile2 (c : Synth.ctx) (outer : loop) (inner : loop)
   let p0 = Printf.sprintf "__omp_p0_%d" uid in
   let p1 = Printf.sprintf "__omp_p1_%d" uid in
   let body =
-    rw_counters c [ (outer.counter, p0); (inner.counter, p1) ] inner.body
+    rw_counters c
+      [ (outer.h.counter, p0); (inner.h.counter, p1) ]
+      inner.h.body
   in
   let b = Buffer.create 768 in
   let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -711,7 +595,9 @@ let emit_interchange (c : Synth.ctx) ~(pragma : string) (outer : loop)
   let x0 = Printf.sprintf "__omp_x0_%d" uid in
   let x1 = Printf.sprintf "__omp_x1_%d" uid in
   let body =
-    rw_counters c [ (outer.counter, x0); (inner.counter, x1) ] inner.body
+    rw_counters c
+      [ (outer.h.counter, x0); (inner.h.counter, x1) ]
+      inner.h.body
   in
   let b = Buffer.create 512 in
   let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -730,9 +616,13 @@ let emit_interchange (c : Synth.ctx) ~(pragma : string) (outer : loop)
 (* ------------------------------------------------------------------ *)
 (* Planning.                                                           *)
 
+(* The nest a transform was checked on and the body facts it derived;
+   {!footprints} reads them instead of deriving them again. *)
+type nest = { outer : loop; inner : loop option; facts : facts }
+
 type plan_result =
   | Nothing                                     (* no transform clauses *)
-  | Apply of Synth.replacement
+  | Apply of Synth.replacement * nest
   | Refuse of refusal list * Synth.replacement  (* strip the clauses *)
 
 let dir_line (c : Synth.ctx) dir =
@@ -817,18 +707,22 @@ let plan (c : Synth.ctx) ?(force = false) dir : plan_result =
           finish ()
         end
         else begin
-          match recover c dir wh ~init:None with
+          match recover c wh ~lb:(fun counter -> outer_lb c dir ~counter) with
           | Error e ->
               refused May clause e;
               finish ()
-          | Ok outer0 -> (
-              let outer =
-                if outer0.lb_lit = None then
-                  { outer0 with
-                    lb_lit = outer_lb c dir ~counter:outer0.counter }
-                else outer0
+          | Ok outer -> (
+              (* the canonical 2-nest under [outer]: [None] when the body
+                 is not a nest at all (fine for 1-D transforms) *)
+              let nest =
+                match Nest.level ast outer.h.body with
+                | Error _ -> Ok None
+                | Ok (init, iwh) -> (
+                    match recover c iwh ~lb:(fun _ -> Nest.fold ast init) with
+                    | Error e -> Error ("inner loop: " ^ e)
+                    | Ok inner -> Ok (Some (inner, init)))
               in
-              match recover_nest c dir outer with
+              match nest with
               | Error e ->
                   refused May clause e;
                   finish ()
@@ -843,10 +737,10 @@ let plan (c : Synth.ctx) ?(force = false) dir : plan_result =
                     | Some (inner, init_expr) ->
                         let refs =
                           Names.Sset.union
-                            (Names.referenced_under ast inner.upper_node)
+                            (Names.referenced_under ast inner.h.bound)
                             (Names.referenced_under ast init_expr)
                         in
-                        not (Names.Sset.mem outer.counter refs)
+                        not (Names.Sset.mem outer.h.counter refs)
                   in
                   if needs_nest && nest = None then begin
                     refused May clause
@@ -866,20 +760,20 @@ let plan (c : Synth.ctx) ?(force = false) dir : plan_result =
                       Option.map (fun (_, e) -> Synth.node_text c e) nest
                     in
                     let counters =
-                      outer.counter
+                      outer.h.counter
                       ::
                       (match inner with
-                       | Some l -> [ l.counter ]
+                       | Some l -> [ l.h.counter ]
                        | None -> [])
                     in
                     let analysis_body =
                       match inner with
-                      | Some l -> l.body
-                      | None -> outer.body
+                      | Some l -> l.h.body
+                      | None -> outer.h.body
                     in
                     let fa =
-                      collect c ~outer:outer.counter
-                        ~inner:(Option.map (fun l -> l.counter) inner)
+                      collect c ~outer:outer.h.counter
+                        ~inner:(Option.map (fun l -> l.h.counter) inner)
                         ~counters analysis_body
                     in
                     (* reductions reorder their combines under any
@@ -941,10 +835,10 @@ let plan (c : Synth.ctx) ?(force = false) dir : plan_result =
                         | "unroll", Some il, _ ->
                             (* unroll the innermost loop in place *)
                             let o_start, o_stop =
-                              Synth.node_bytes c outer.wh
+                              Synth.node_bytes c outer.h.wh
                             in
                             let i_start, i_stop =
-                              Synth.node_bytes c il.wh
+                              Synth.node_bytes c il.h.wh
                             in
                             Source.slice ast.Ast.source ~start:o_start
                               ~stop:i_start
@@ -977,7 +871,8 @@ let plan (c : Synth.ctx) ?(force = false) dir : plan_result =
                         else pragma ^ loop_text
                       in
                       Apply
-                        { Synth.start = dir_start; stop = wh_stop; text }
+                        ( { Synth.start = dir_start; stop = wh_stop; text },
+                          { outer; inner; facts = fa } )
                     end
                   end)
         end
@@ -1016,7 +911,7 @@ let round ?(force = false) (c : Synth.ctx) : string option =
             else
               match p with
               | Nothing -> None
-              | Apply r -> Some r
+              | Apply (r, _) -> Some r
               | Refuse (rs, strip) ->
                   List.iter
                     (fun r ->
@@ -1044,24 +939,6 @@ let assess (c : Synth.ctx) : refusal list =
          match plan c d with
          | Nothing | Apply _ -> []
          | Refuse (rs, _) -> rs)
-
-(** The transforms that would be applied, as [(directive node, clause
-    name)] — the prediction hook ([zrc analyze --predict]) pairs each
-    directive with its transform without re-deriving legality. *)
-let applied (c : Synth.ctx) : (int * string) list =
-  transform_dirs c.ast
-  |> List.filter_map (fun d ->
-         match plan c d with
-         | Apply _ ->
-             let cl = Ast.clauses c.ast d in
-             let name =
-               if cl.Directive.tile <> [] then "tile"
-               else if cl.Directive.transform.Packed.unroll > 1 then
-                 "unroll"
-               else "interchange"
-             in
-             Some (d, name)
-         | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Static cache-footprint estimation for [zrc analyze --predict].
@@ -1095,87 +972,54 @@ let footprints (c : Synth.ctx) : footprint list =
          else
            match plan c dir with
            | Nothing | Refuse _ -> None
-           | Apply _ -> (
-               let wh = (Ast.node c.ast dir).Ast.rhs in
-               match recover c dir wh ~init:None with
-               | Error _ -> None
-               | Ok outer -> (
-                   let nest =
-                     match recover_nest c dir outer with
-                     | Ok n -> n
-                     | Error _ -> None
+           | Apply (_, { outer; inner; facts = fa }) -> (
+               match (outer.trips, Option.map (fun l -> l.trips) inner) with
+               | None, _ | _, Some None -> None
+               | Some t_o, ti_opt ->
+                   let t_i = match ti_opt with Some (Some t) -> t | _ -> 1 in
+                   let naccs = List.length fa.accs in
+                   (* distinct (base, co, ci) access groups *)
+                   let groups =
+                     List.sort_uniq compare
+                       (List.filter_map
+                          (fun a ->
+                            match a.idx with
+                            | Some l -> Some (a.base, l.Nest.co, l.ci)
+                            | None -> None)
+                          fa.accs)
                    in
-                   let inner = Option.map fst nest in
-                   let outer =
-                     if outer.lb_lit = None then
-                       { outer with
-                         lb_lit = outer_lb c dir ~counter:outer.counter }
-                     else outer
+                   let so = abs outer.step in
+                   let si =
+                     match inner with Some l -> abs l.step | None -> 1
                    in
-                   match (trips outer, Option.map trips inner) with
-                   | None, _ | _, Some None -> None
-                   | Some t_o, ti_opt ->
-                       let t_i =
-                         match ti_opt with Some (Some t) -> t | _ -> 1
-                       in
-                       let fa =
-                         collect c ~outer:outer.counter
-                           ~inner:(Option.map (fun l -> l.counter) inner)
-                           ~counters:
-                             (outer.counter
-                             ::
-                             (match inner with
-                              | Some l -> [ l.counter ]
-                              | None -> []))
-                           (match inner with
-                            | Some l -> l.body
-                            | None -> outer.body)
-                       in
-                       let naccs = List.length fa.accs in
-                       (* distinct (base, co, ci) access groups *)
-                       let groups =
-                         List.sort_uniq compare
-                           (List.filter_map
-                              (fun a ->
-                                match a.idx with
-                                | Some l -> Some (a.base, l.co, l.ci)
-                                | None -> None)
-                              fa.accs)
-                       in
-                       let so = abs outer.step in
-                       let si =
-                         match inner with
-                         | Some l -> abs l.step
-                         | None -> 1
-                       in
-                       let span ~ospan ~ispan (_, co, ci) =
-                         elt
-                         *. float_of_int
-                              ((abs (co * so) * (max 0 (ospan - 1)))
-                              + (abs (ci * si) * (max 0 (ispan - 1)))
-                              + 1)
-                       in
-                       let sum f = List.fold_left
-                           (fun acc g -> acc +. f g) 0. groups in
-                       let bytes = sum (span ~ospan:t_o ~ispan:t_i) in
-                       let ws_before, ws_after =
-                         match (inner, cl.Directive.tile) with
-                         | Some _, [ t1; t2 ] ->
-                             ( sum (span ~ospan:1 ~ispan:t_i),
-                               sum
-                                 (span ~ospan:(min t1 t_o)
-                                    ~ispan:(min t2 t_i)) )
-                         | _ ->
-                             (* 1-D tiling leaves the reuse pattern of a
-                                single streamed loop unchanged *)
-                             let ws = sum (span ~ospan:t_o ~ispan:t_i) in
-                             (ws, ws)
-                       in
-                       Some
-                         { fp_line = dir_line c dir;
-                           fp_desc = clause_text c dir Directive.Ctile;
-                           fp_iters = float_of_int (t_o * t_i);
-                           fp_accesses = naccs;
-                           fp_bytes = bytes;
-                           fp_ws_before = ws_before;
-                           fp_ws_after = ws_after })))
+                   let span ~ospan ~ispan (_, co, ci) =
+                     elt
+                     *. float_of_int
+                          ((abs (co * so) * max 0 (ospan - 1))
+                          + (abs (ci * si) * max 0 (ispan - 1))
+                          + 1)
+                   in
+                   let sum f =
+                     List.fold_left (fun acc g -> acc +. f g) 0. groups
+                   in
+                   let bytes = sum (span ~ospan:t_o ~ispan:t_i) in
+                   let ws_before, ws_after =
+                     match (inner, cl.Directive.tile) with
+                     | Some _, [ t1; t2 ] ->
+                         ( sum (span ~ospan:1 ~ispan:t_i),
+                           sum
+                             (span ~ospan:(min t1 t_o) ~ispan:(min t2 t_i)) )
+                     | _ ->
+                         (* 1-D tiling leaves the reuse pattern of a
+                            single streamed loop unchanged *)
+                         let ws = sum (span ~ospan:t_o ~ispan:t_i) in
+                         (ws, ws)
+                   in
+                   Some
+                     { fp_line = dir_line c dir;
+                       fp_desc = clause_text c dir Directive.Ctile;
+                       fp_iters = float_of_int (t_o * t_i);
+                       fp_accesses = naccs;
+                       fp_bytes = bytes;
+                       fp_ws_before = ws_before;
+                       fp_ws_after = ws_after }))

@@ -31,13 +31,20 @@
 
     Beyond the one-operation opcodes, the emitter picks from a few
     superinstructions that fold a whole statement or loop test into
-    one dispatch: [addcmple.br]/[addcmpge.br] (counter step and bounds
-    test on the back edge), [mulc.ld.fu], [acc.ld.fu],
-    [accmul.ld.ld.fu]/[accmul.ld.ld.f], [ldst.add.fu]/[ldst.add.iu],
-    [recover] (collapse(n) counter recovery), [addi.i] (int register
-    plus an immediate) and [accmul.ld.ldx.f] (the CSR gather
-    [s += a[k] * b[ix[k]]], guarded in the closure tier's order:
-    [a[k]], then [ix[k]], then [b[ix[k]]]). *)
+    one dispatch: [addcmp.br] (counter step and bounds test on the back
+    edge, the condition code in the sixth cell), [mulc.ld.fu],
+    [acc.ld.fu], [accmul.ld.ld.fu]/[accmul.ld.ld.f],
+    [ldst.add.fu]/[ldst.add.iu], [recover] (collapse(n) counter
+    recovery), [addi.i] (int register plus an immediate) and
+    [accmul.ld.ldx.f] (the CSR gather [s += a[k] * b[ix[k]]], guarded
+    in the closure tier's order: [a[k]], then [ix[k]], then
+    [b[ix[k]]]).
+
+    One opcode covers a whole loop: [loop] stands in front of a body
+    that is a single accumulate and carries the back edge's counter,
+    step, condition and bound; {!Bcexec} runs that accumulate as a
+    native do-while and continues at the loop's exit, so such a loop
+    costs one dispatch per entry instead of two per iteration. *)
 
 (* ------------------------------------------------------------------ *)
 (* Encoding: each instruction is [width] cells of an [int array] —
@@ -55,8 +62,12 @@ let op_jmp = 1              (* jmp t                                  *)
 let op_brz = 2              (* brz a t        — branch if ints[a]=0   *)
 let op_cmpbr_ii = 3         (* cmpbr.ii cc a b t — branch if NOT cc   *)
 let op_cmpbr_ff = 4         (* cmpbr.ff cc a b t — branch if NOT cc   *)
-let op_addcmple_br = 5      (* iv += imm; if iv <= ints[b] jmp t      *)
-let op_addcmpge_br = 6      (* iv += imm; if iv >= ints[b] jmp t      *)
+let op_addcmp_br = 5        (* addcmp.br k imm r t cc — ints[k] += imm;
+                               branch if ints[k] cc ints[r]           *)
+let op_loop = 6             (* loop k imm r exit cc — run the next
+                               instruction as do { it; ints[k] += imm }
+                               while ints[k] cc ints[r], then jump to
+                               exit                                   *)
 
 (* --- moves and constants --- *)
 let op_mov_i = 7            (* mov.i d a                              *)
@@ -126,7 +137,7 @@ let op_accmul_ld_ldx_f = 51 (* s += a1[i] * a2[ix[i]], all three
 
 let n_ops = 52
 
-(* Comparison condition codes for cmp/cmpbr. *)
+(* Comparison condition codes for cmp, cmpbr, addcmp.br and loop. *)
 let cc_lt = 0
 let cc_le = 1
 let cc_gt = 2
@@ -204,7 +215,7 @@ type program = {
 let opcode_name = function
   | 0 -> "halt" | 1 -> "jmp" | 2 -> "brz"
   | 3 -> "cmpbr.ii" | 4 -> "cmpbr.ff"
-  | 5 -> "addcmple.br" | 6 -> "addcmpge.br"
+  | 5 -> "addcmp.br" | 6 -> "loop"
   | 7 -> "mov.i" | 8 -> "mov.f" | 9 -> "ldc.i" | 10 -> "ldc.f"
   | 11 -> "add.i" | 12 -> "sub.i" | 13 -> "mul.i" | 14 -> "div.i"
   | 15 -> "mod.i" | 16 -> "neg.i" | 17 -> "not.b"
@@ -250,10 +261,9 @@ let disasm_instr (p : program) code lines pc =
              (ir c) d
     | 4 -> Printf.sprintf "cmpbr.ff !%s %s, %s, @%d" (cc_name a) (fr b)
              (fr c) d
-    | 5 -> Printf.sprintf "addcmple.br %s += %d, <= %s, @%d" (ir a) b
-             (ir c) d
-    | 6 -> Printf.sprintf "addcmpge.br %s += %d, >= %s, @%d" (ir a) b
-             (ir c) d
+    | 5 | 6 ->
+        Printf.sprintf "%s %s += %d, %s %s, @%d" (opcode_name op) (ir a) b
+          (cc_name code.(pc + 5)) (ir c) d
     | 7 -> Printf.sprintf "mov.i %s, %s" (ir a) (ir b)
     | 8 -> Printf.sprintf "mov.f %s, %s" (fr a) (fr b)
     | 9 -> Printf.sprintf "ldc.i %s, %d" (ir a) b

@@ -13,6 +13,11 @@
     frame, so a half-updated register file is unobservable after the
     unwind, exactly like the closure tier's abandoned locals.
 
+    A [loop] instruction hands the single accumulate after it to
+    {!run_loop}, a native do-while outside {!exec} (so the dispatch
+    loop's code does not grow), and the dispatch continues at the
+    loop's exit.
+
     [Array.unsafe_*] discipline: [code] indices come from the emitter
     (always in range by construction), register indices from the
     allocator; user arrays are touched unsafely only by the [*u]
@@ -191,7 +196,98 @@ let enter (plan : Bcgen.plan) (fr : V.t array) : state option =
 (* ------------------------------------------------------------------ *)
 (* The dispatch loop.                                                  *)
 
-let[@inline] oob idx len = V.err "index %d out of bounds (len %d)" idx len
+(* The error is built off the hot path, and the inlined [raise] ends
+   the faulting branch, so the code after a bounds check does not
+   join a call's return and keeps its values in registers. *)
+let[@inline never] oob_error idx len =
+  V.Runtime_error (Printf.sprintf "index %d out of bounds (len %d)" idx len)
+
+let[@inline] oob idx len = raise (oob_error idx len)
+
+(* Condition code [cc] ({!Bc.cc_lt} ...) on two ints.  A chain of
+   tests on a [cc] that is constant per instruction predicts well; a
+   jump table costs an indirect jump per test. *)
+let[@inline] holds cc (x : int) (y : int) =
+  if cc <= 1 then if cc = 1 then x <= y else x < y
+  else if cc <= 3 then if cc = 3 then x >= y else x > y
+  else if cc = 4 then x = y
+  else x <> y
+
+(** [loop k imm r exit cc] at [base]: run the accumulate that follows it
+    as a native [do { acc; ints[k] += imm } while ints[k] cc ints[r]].
+    Each iteration makes the accumulate's own bounds checks, in its
+    order and with its messages, and adds to the sum left to right, as
+    its dispatched twin does.  The emitter guarantees that [r] is not
+    [k] and that every subscript register is [k], so the bound is read
+    once.  The counter and the sum reach their registers only at the
+    exit: a raise leaves them stale, and nothing reads them then,
+    because the unwind skips {!writeback}. *)
+let run_loop (st : state) (code : int array) base =
+  let ints = st.ints and floats = st.floats in
+  let kr = Array.unsafe_get code (base + 1)
+  and step = Array.unsafe_get code (base + 2)
+  and bound = Array.unsafe_get ints (Array.unsafe_get code (base + 3))
+  and cc = Array.unsafe_get code (base + 5) in
+  let at = base + Bc.width in
+  let a = Array.unsafe_get code (at + 1)
+  and b = Array.unsafe_get code (at + 2)
+  and d = Array.unsafe_get code (at + 4)
+  and x = Array.unsafe_get code (at + 5) in
+  let k = ref (Array.unsafe_get ints kr) in
+  let s = ref (Array.unsafe_get floats a) in
+  (match Array.unsafe_get code at with
+   | 44 (* acc.ld.fu: s += arr[k + off] *) ->
+       let arr = Array.unsafe_get st.farrs b in
+       while
+         s := !s +. Array.unsafe_get arr (!k + d);
+         k := !k + step;
+         holds cc !k bound
+       do
+         ()
+       done
+   | 45 (* accmul.ld.ld.fu: s += a1[k] * a2[k] *) ->
+       let a1 = Array.unsafe_get st.farrs b
+       and a2 = Array.unsafe_get st.farrs d in
+       while
+         let i = !k in
+         s := !s +. (Array.unsafe_get a1 i *. Array.unsafe_get a2 i);
+         k := i + step;
+         holds cc !k bound
+       do
+         ()
+       done
+   | 46 (* accmul.ld.ld.f: a1[k], then a2[k] *) ->
+       let a1 = Array.unsafe_get st.farrs b
+       and a2 = Array.unsafe_get st.farrs d in
+       while
+         let i = !k in
+         if i < 0 || i >= Array.length a1 then oob i (Array.length a1);
+         if i < 0 || i >= Array.length a2 then oob i (Array.length a2);
+         s := !s +. (Array.unsafe_get a1 i *. Array.unsafe_get a2 i);
+         k := i + step;
+         holds cc !k bound
+       do
+         ()
+       done
+   | 51 (* accmul.ld.ldx.f: a1[k], then ix[k], then a2[ix[k]] *) ->
+       let a1 = Array.unsafe_get st.farrs b
+       and ix = Array.unsafe_get st.iarrs d
+       and a2 = Array.unsafe_get st.farrs x in
+       while
+         let i = !k in
+         if i < 0 || i >= Array.length a1 then oob i (Array.length a1);
+         if i < 0 || i >= Array.length ix then oob i (Array.length ix);
+         let j = Array.unsafe_get ix i in
+         if j < 0 || j >= Array.length a2 then oob j (Array.length a2);
+         s := !s +. (Array.unsafe_get a1 i *. Array.unsafe_get a2 j);
+         k := i + step;
+         holds cc !k bound
+       do
+         ()
+       done
+   | op -> V.err "bytecode: invalid loop body %d" op);
+  Array.unsafe_set ints kr !k;
+  Array.unsafe_set floats a !s
 
 let exec (p : Bc.program) (st : state) (code : int array) =
   let ints = st.ints and floats = st.floats in
@@ -213,14 +309,8 @@ let exec (p : Bc.program) (st : state) (code : int array) =
        | 1 (* jmp *) -> pc := a
        | 2 (* brz *) -> if Array.unsafe_get ints a = 0 then pc := b
        | 3 (* cmpbr.ii: branch if NOT cc *) ->
-           let x = Array.unsafe_get ints b
-           and y = Array.unsafe_get ints c in
-           let holds =
-             match a with
-             | 0 -> x < y | 1 -> x <= y | 2 -> x > y | 3 -> x >= y
-             | 4 -> x = y | _ -> x <> y
-           in
-           if not holds then pc := d
+           if not (holds a (Array.unsafe_get ints b) (Array.unsafe_get ints c))
+           then pc := d
        | 4 (* cmpbr.ff *) ->
            (* Float.compare, not IEEE: the closure tier's polymorphic
               compare orders NaN totally, and parity wins over speed *)
@@ -234,14 +324,14 @@ let exec (p : Bc.program) (st : state) (code : int array) =
              | 4 -> r = 0 | _ -> r <> 0
            in
            if not holds then pc := d
-       | 5 (* addcmple.br *) ->
-           let iv = Array.unsafe_get ints a + b in
-           Array.unsafe_set ints a iv;
-           if iv <= Array.unsafe_get ints c then pc := d
-       | 6 (* addcmpge.br *) ->
-           let iv = Array.unsafe_get ints a + b in
-           Array.unsafe_set ints a iv;
-           if iv >= Array.unsafe_get ints c then pc := d
+       | 5 (* addcmp.br *) ->
+           let k = Array.unsafe_get ints a + b in
+           Array.unsafe_set ints a k;
+           let cc = Array.unsafe_get code (base + 5) in
+           if holds cc k (Array.unsafe_get ints c) then pc := d
+       | 6 (* loop *) ->
+           run_loop st code base;
+           pc := d
        | 7 (* mov.i *) -> Array.unsafe_set ints a (Array.unsafe_get ints b)
        | 8 (* mov.f *) ->
            Array.unsafe_set floats a (Array.unsafe_get floats b)
@@ -291,14 +381,10 @@ let exec (p : Bc.program) (st : state) (code : int array) =
        | 25 (* f2i *) ->
            Array.unsafe_set ints a (int_of_float (Array.unsafe_get floats b))
        | 26 (* cmp.ii *) ->
-           let x = Array.unsafe_get ints c
-           and y = Array.unsafe_get ints d in
-           let holds =
-             match a with
-             | 0 -> x < y | 1 -> x <= y | 2 -> x > y | 3 -> x >= y
-             | 4 -> x = y | _ -> x <> y
-           in
-           Array.unsafe_set ints b (if holds then 1 else 0)
+           Array.unsafe_set ints b
+             (if holds a (Array.unsafe_get ints c) (Array.unsafe_get ints d)
+              then 1
+              else 0)
        | 27 (* cmp.ff *) ->
            let r =
              Float.compare (Array.unsafe_get floats c)

@@ -27,13 +27,20 @@
     exactly where {!Rt} keeps it integer — bit-exactness with the
     closure tier is the invariant, speed only comes second.
 
-    Emission keeps dispatches per iteration down with four rules: an
-    assignment's root instruction writes the target register (no
-    trailing [mov]); an int [x +/- literal] is one [addi.i]; a
-    sequential [while] is rotated (its test is emitted at entry and,
-    inverted, at the back edge, so no iteration pays a [jmp]); and
-    [s += a[k] * b[ix[k]]] on float arrays is one guarded
-    [accmul.ld.ldx.f].
+    Emission keeps dispatches per iteration down with seven rules:
+    + an assignment's root instruction writes the target register (no
+      trailing [mov]);
+    + an int [x +/- literal] is one [addi.i];
+    + a sequential [while] is rotated (its test is emitted at entry
+      and, inverted, at the back edge, so no iteration pays a [jmp]);
+    + [s += a[k] * b[ix[k]]] on float arrays is one guarded
+      [accmul.ld.ldx.f];
+    + the operands of a [while]'s one comparison that the loop cannot
+      change are computed once, before the entry test ([hoist_test]);
+    + a continuation of exactly [k += imm] or [k -= imm] under the test
+      [k cc r] closes with one [addcmp.br], and so does every drain;
+    + such a back edge closing one accumulate over [k] becomes a [loop]
+      in front of it, which {!Bcexec} runs natively.
 
     Every refusal raises {!Bail} with its reason: [plan]'s reach the
     compiler, [specialize]'s are kept on the plan, and [zrc run
@@ -92,6 +99,10 @@ type uexpr =
   | ULen of int
   | UTid
   | UNtd
+  | UReg of kind * int       (* emission only: a value already held in a
+                                register of that kind's bank *)
+
+and kind = KI | KF | KB
 
 type skind =
   | SAssignL of int * uexpr
@@ -461,14 +472,20 @@ let rec ustmt_list pa node : ustmt list =
       bailf "statement '%s' has no VM form"
         (Ast.token_text pa.ast n.Ast.main_token)
 
-(* [cont] is exactly [<iv> += <literal step>] — the shape the
-   preprocessor generates.  That one statement fuses into the back
-   edge; any other cont lowers through [ustmt_list] (which bails on
-   counter writes like every other body statement). *)
+(* [cont] is exactly [<iv> += <literal step>] or [<iv> -= <literal>]
+   with the literal [-step] — the shapes the preprocessor generates.
+   That one statement fuses into the back edge; any other cont lowers
+   through [ustmt_list] (which bails on counter writes like every other
+   body statement). *)
 let cont_is_iv_step pa cont step =
   let n = Ast.node pa.ast cont in
-  n.Ast.tag = Ast.Assign
-  && (Ast.token pa.ast n.Ast.main_token).Token.tag = Token.Plus_eq
+  let sign =
+    match (Ast.token pa.ast n.Ast.main_token).Token.tag with
+    | Token.Plus_eq -> 1
+    | Token.Minus_eq -> -1
+    | _ -> 0
+  in
+  n.Ast.tag = Ast.Assign && sign <> 0
   && (let tgt = Ast.node pa.ast n.Ast.lhs in
       tgt.Ast.tag = Ast.Ident
       &&
@@ -479,7 +496,9 @@ let cont_is_iv_step pa cont step =
            (match pa.resolve name with
             | Rslot s -> s = pa.pivslot
             | _ -> false)))
-  && (match int_lit_of pa n.Ast.rhs with Some s -> s = step | None -> false)
+  && (match int_lit_of pa n.Ast.rhs with
+      | Some s -> sign * s = step
+      | None -> false)
 
 (** Phase A.  [cont] and [body] are the AST statement nodes of the
     recognised drain; [step2] its step expression node.  Returns
@@ -547,8 +566,6 @@ let plan ~(opts : opts) ~(ast : Ast.t) ~(resolve : string -> rres)
 (* ------------------------------------------------------------------ *)
 (* Phase B: specialisation to the observed shapes.                     *)
 
-type kind = KI | KF | KB
-
 (* Growable instruction buffer with a parallel source-line table. *)
 type eb = {
   mutable cells : int array;
@@ -586,6 +603,11 @@ let eb_emit e line op a b c d x =
   p
 
 let eb_patch (e : eb) cell target = e.cells.(cell) <- target
+
+(* Drop the instructions from [pc] on. *)
+let eb_truncate (e : eb) pc =
+  e.ncells <- pc;
+  e.nlns <- pc / Bc.width
 let eb_finish (e : eb) =
   (Array.sub e.cells 0 e.ncells, Array.sub e.lns 0 e.nlns)
 
@@ -624,6 +646,42 @@ let flip_cc = function
 let cc_of = function
   | Clt -> Bc.cc_lt | Cle -> Bc.cc_le | Cgt -> Bc.cc_gt
   | Cge -> Bc.cc_ge | Ceq -> Bc.cc_eq | Cne -> Bc.cc_ne
+
+(* [x cc y] as [y (swap_cc cc) x]. *)
+let swap_cc = function
+  | Clt -> Cgt | Cle -> Cge | Cgt -> Clt | Cge -> Cle | c -> c
+
+let rec iter_stmts f stmts =
+  List.iter
+    (fun s ->
+      f s;
+      match s.sk with
+      | SIf (_, a, b) | SWhile (_, a, b) ->
+          iter_stmts f a;
+          iter_stmts f b
+      | _ -> ())
+    stmts
+
+(* Whether evaluating [e] may raise: a guarded load, or an integer
+   division or modulo.  Conservative: elided loads count too. *)
+let rec can_raise = function
+  | ULoad _ | UBin ((Bdiv | Bmod), _, _) -> true
+  | UBin (_, a, b) | UCmp (_, a, b) | UAnd (a, b) | UOr (a, b) ->
+      can_raise a || can_raise b
+  | UNeg a | UNot a | UMath (_, a) | UIntOf a | UFloatOf a -> can_raise a
+  | UConstI _ | UConstF _ | UConstB _ | ULocal _ | UCap _ | UIv | UDeref _
+  | ULen _ | UTid | UNtd | UReg _ ->
+      false
+
+(* The accumulates a [loop] can run natively, with [k] as every
+   subscript register: the instruction at [pc] of [cells]. *)
+let loopable cells pc k =
+  let op = cells.(pc) in
+  (op = Bc.op_acc_ld_fu || op = Bc.op_accmul_ld_ldx_f)
+  && cells.(pc + 3) = k
+  || (op = Bc.op_accmul_ld_ld_fu || op = Bc.op_accmul_ld_ld_f)
+     && cells.(pc + 3) = k
+     && cells.(pc + 5) = k
 
 (** Specialise [p] to the observed shapes: [ckinds] per captured slot,
     [bbanks] per indexed base, [dkinds] per hoisted dereference.
@@ -685,6 +743,7 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
       | UFloatOf a ->
           (match kind_of a with KI | KF -> KF | KB -> bail "float_of on a bool")
       | ULen _ -> KI
+      | UReg (k, _) -> k
     in
     let rec ty_stmt s =
       match s.sk with
@@ -829,6 +888,7 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
         | UTid -> regs.rtid
         | UNtd -> regs.rntd
         | UDeref d -> snd regs.der_reg.(d)
+        | UReg (_, r) -> r
         (* int [x +/- literal]: one addi.i (wrapping, like add.i) *)
         | UBin (Badd, a, UConstI k) | UBin (Badd, UConstI k, a) ->
             addi ?dst ln a k
@@ -957,6 +1017,7 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
         | ULocal l -> snd regs.loc_reg.(l)
         | UCap c -> snd regs.cap_reg.(c)
         | UDeref d -> snd regs.der_reg.(d)
+        | UReg (_, r) -> r
         (* constant * elidable load fuses; float multiply commutes
            bit-exactly, and the constant cannot trap, so either operand
            order folds to the same instruction *)
@@ -1248,6 +1309,111 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
               | _ -> false)
           | _ -> false
       in
+      (* A counted loop's back edge (rule 6): one [addcmp.br] to [top].
+         When the body since [top] is one accumulate over the counter
+         (rule 7), a [loop] goes in front of it instead, and the back
+         edge is dropped. *)
+      let close_loop ln ~top ~k ~step ~r ~cc =
+        if eb_pc eb - top = Bc.width && r <> k && loopable eb.cells top k
+        then begin
+          let acc = Array.sub eb.cells top Bc.width in
+          let acc_ln = eb.lns.(top / Bc.width) in
+          eb_truncate eb top;
+          let lp = eb_emit eb ln Bc.op_loop k step r 0 cc in
+          ignore
+            (eb_emit eb acc_ln acc.(0) acc.(1) acc.(2) acc.(3) acc.(4)
+               acc.(5));
+          eb_patch eb (lp + 4) (eb_pc eb)
+        end
+        else ignore (eb_emit eb ln Bc.op_addcmp_br k step r top cc)
+      in
+      (* The register an int operand already lives in, if any. *)
+      let int_reg = function
+        | UReg (KI, r) -> Some r
+        | UTid -> Some regs.rtid
+        | UNtd -> Some regs.rntd
+        | e -> Option.map fst (simple_idx e)
+      in
+      (* Rule 5: the operands of a while's one comparison that its body
+         and continuation cannot change, each computed once into a
+         register that stays reserved for the loop.  The second is
+         hoisted only if the first is hoisted too or cannot raise, so
+         the first error at entry is the closure tier's. *)
+      let hoist_test ln c stmts =
+        match c with
+        | UCmp (op, a, b) ->
+            let wl = ref [] and wc = ref [] and wbanks = ref [] in
+            iter_stmts
+              (fun s ->
+                match s.sk with
+                | SAssignL (l, _) -> wl := l :: !wl
+                | SAssignC (c, _) -> wc := c :: !wc
+                | SStore (b, _, _) | SOpStore (_, b, _, _) ->
+                    wbanks := fst regs.bmap.(b) :: !wbanks
+                | _ -> ())
+              stmts;
+            let rec invariant = function
+              | UConstI _ | UConstF _ | UConstB _ | ULen _ | UIv | UTid
+              | UNtd | UDeref _ ->
+                  true
+              | ULocal l -> not (List.mem l !wl)
+              | UCap c -> not (List.mem c !wc)
+              | ULoad (b, idx) ->
+                  (not (List.mem (fst regs.bmap.(b)) !wbanks))
+                  && invariant idx
+              | UBin (_, x, y) -> invariant x && invariant y
+              | UNeg x | UMath (_, x) | UIntOf x | UFloatOf x -> invariant x
+              | UCmp _ | UAnd _ | UOr _ | UNot _ | UReg _ -> false
+            in
+            let fl = kind_of a = KF || kind_of b = KF in
+            (* a leaf the test reads in place needs no code *)
+            let in_place e =
+              match e with
+              | ULocal _ | UCap _ | UIv | UTid | UNtd | UDeref _ ->
+                  (not fl) || kind_of e = KF
+              | _ -> false
+            in
+            let hoist e =
+              if invariant e && not (in_place e) then
+                if fl then UReg (KF, ce_f ln e)
+                else UReg (kind_of e, ce_i ln e)
+              else e
+            in
+            let a' = hoist a in
+            let b' = if a' != a || not (can_raise a) then hoist b else b in
+            UCmp (op, a', b')
+        | c -> c
+      in
+      (* Rule 6: a continuation of exactly [k += imm] or [k -= imm] on
+         an int register, under a test [k cc r] or [r cc k] with [r] in
+         a register: (k, imm, r, cc of [k cc r]). *)
+      let counted c cont =
+        let step =
+          match cont with
+          | [ { sk = SAssignL (l, UBin (o, ULocal l', UConstI imm)); _ } ]
+            when l = l' ->
+              Some (ULocal l, o, imm)
+          | [ { sk = SAssignC (c, UBin (o, UCap c', UConstI imm)); _ } ]
+            when c = c' ->
+              Some (UCap c, o, imm)
+          | _ -> None
+        in
+        match (step, c) with
+        | Some (kv, ((Badd | Bsub) as o), imm), UCmp (op, x, y) -> (
+            let imm = if o = Badd then imm else -imm in
+            let side =
+              if x = kv then Some (y, op)
+              else if y = kv then Some (x, swap_cc op)
+              else None
+            in
+            match (side, int_reg kv) with
+            | Some (other, op), Some k -> (
+                match int_reg other with
+                | Some r -> Some (k, imm, r, cc_of op)
+                | None -> None)
+            | _ -> None)
+        | _ -> None
+      in
       (* statements *)
       let rec cs ~brk ~cnt s =
         let ln = s.sline in
@@ -1410,6 +1576,8 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
         | SWhile (c, body, cont) ->
             (* rotated: the condition is tested at entry and again at
                the back edge (inverted), so no iteration pays a jmp *)
+            let sv = save () in
+            let c = hoist_test ln c (body @ cont) in
             let xl = ref [] in
             branch_if_false ln c xl;
             let top = eb_pc eb in
@@ -1417,16 +1585,21 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
             List.iter (cs ~brk:brk' ~cnt:cnt') body;
             let cont_l = eb_pc eb in
             List.iter (fun cell -> eb_patch eb cell cont_l) !cnt';
-            (* cont statements: a break there exits THIS loop (the
-               closure's Break handler wraps the whole while, cont
-               included); a continue propagates to the enclosing loop *)
-            List.iter (cs ~brk:brk' ~cnt) cont;
-            let tl = ref [] in
-            branch_if_true ln c tl;
-            List.iter (fun cell -> eb_patch eb cell top) !tl;
+            (match counted c cont with
+             | Some (k, step, r, cc) -> close_loop ln ~top ~k ~step ~r ~cc
+             | None ->
+                 (* cont statements: a break there exits THIS loop (the
+                    closure's Break handler wraps the whole while, cont
+                    included); a continue propagates to the enclosing
+                    loop *)
+                 List.iter (cs ~brk:brk' ~cnt) cont;
+                 let tl = ref [] in
+                 branch_if_true ln c tl;
+                 List.iter (fun cell -> eb_patch eb cell top) !tl);
             let here = eb_pc eb in
             List.iter (fun cell -> eb_patch eb cell here) !xl;
-            List.iter (fun cell -> eb_patch eb cell here) !brk'
+            List.iter (fun cell -> eb_patch eb cell here) !brk';
+            restore sv
         | SExpr e ->
             let sv = save () in
             (match kind_of e with
@@ -1451,12 +1624,9 @@ let specialize (p : plan) ~(ckinds : [ `I | `F | `B ] array)
       List.iter (cs ~brk ~cnt) p.ubody;
       let cont_l = eb_pc eb in
       List.iter (fun cell -> eb_patch eb cell cont_l) !cnt;
-      if p.fuse_cont then begin
-        let o =
-          if p.step > 0 then Bc.op_addcmple_br else Bc.op_addcmpge_br
-        in
-        ignore (eb_emit eb ln o iv_reg p.step upper_reg body_start 0)
-      end
+      if p.fuse_cont then
+        close_loop ln ~top:body_start ~k:iv_reg ~step:p.step ~r:upper_reg
+          ~cc:(if p.step > 0 then Bc.cc_le else Bc.cc_ge)
       else begin
         List.iter (cs ~brk ~cnt:(ref [])) p.ucont;
         let back_cc = if p.step > 0 then Bc.cc_gt else Bc.cc_lt in

@@ -224,7 +224,8 @@ let canonical ast wh : (loop * step, string) result =
 (** [lowered ast dir] — the loops directive [dir] lowers, outermost
     first: its own loop, then one [(init, loop, step)] per further level
     of its [collapse] chain.  Raises the first reading's diagnostic at
-    the directive. *)
+    the directive, and refuses a level whose initialisation or bound
+    reads an outer counter: the collapsed space must be rectangular. *)
 let lowered ast dir : loop * step * (int * loop * step) list =
   let d = Ast.node ast dir in
   let depth =
@@ -237,11 +238,20 @@ let lowered ast dir : loop * step * (int * loop * step) list =
   in
   let get = function Ok x -> x | Error msg -> fail msg in
   let outer, s = get (canonical ast d.Ast.rhs) in
-  let rec levels body k =
+  let rec levels body k counters =
     if k >= depth then []
     else
       let init, wh = get (level ast body) in
       let l, s = get (canonical ast wh) in
-      (init, l, s) :: levels l.body (k + 1)
+      let reads =
+        Names.Sset.union
+          (Names.referenced_under ast init)
+          (Names.referenced_under ast l.bound)
+      in
+      if List.exists (fun c -> Names.Sset.mem c reads) counters then
+        fail
+          "worksharing loop: the loop nest is not rectangular (the inner \
+           bounds depend on the outer counter)";
+      (init, l, s) :: levels l.body (k + 1) (l.counter :: counters)
   in
-  (outer, s, levels outer.body 1)
+  (outer, s, levels outer.body 1 [ outer.counter ])

@@ -7,11 +7,14 @@
      restricted to the planner's covered construct set, executed by
      all three tiers — tree walker, staged closures, bytecode — must
      agree on results, raised errors and per-construct profile counts,
-     and must actually enter the VM (never silently bail);
-   - out-of-bounds error parity on one deterministic schedule;
-   - disassembly goldens: the stencil and SpMV body listings (opcodes,
-     fused superinstructions, [unguarded] markers) and the register
-     allocation of the NPB CG loop bodies;
+     and must actually enter the VM (never silently bail).  Their
+     counted inner loops and one-accumulate bodies take the emitter's
+     hoisted tests, [addcmp.br] back edges and native [loop]s;
+   - out-of-bounds error parity on one deterministic schedule,
+     including faulting loop bounds and faults inside native loops;
+   - disassembly goldens: the stencil, SpMV and dot-product drain
+     listings (opcodes, fused superinstructions, [unguarded] markers)
+     and the register allocation of the NPB CG loop bodies;
    - the NPB EP/IS bodies pinned as bailouts, with their reasons (their
      loop bodies call host functions, which the planner must refuse);
    - the standalone examples under compiled vs bytecode. *)
@@ -180,6 +183,54 @@ let cond_gen env depth =
 
 let indent lines = List.map (fun l -> "        " ^ l) lines
 
+(* Counted inner loops, for the emitter's rules 5-7: the test compares
+   the counter, on either side, with a bound by one of the four
+   comparisons, and the counter steps by 1 or 2 towards it. *)
+let test_gen ?strict ~up k bound =
+  let open G in
+  let* strict =
+    match strict with Some s -> return s | None -> bool
+  in
+  let* left = bool in
+  let op =
+    match (up, strict) with
+    | true, true -> "<" | true, false -> "<="
+    | false, true -> ">" | false, false -> ">="
+  in
+  let swapped =
+    match op with "<" -> ">" | "<=" -> ">=" | ">" -> "<" | _ -> "<="
+  in
+  return
+    (if left then Printf.sprintf "%s %s %s" k op bound
+     else Printf.sprintf "%s %s %s" bound swapped k)
+
+let step_gen ~up k =
+  G.map
+    (fun s -> Printf.sprintf "%s %s %d" k (if up then "+=" else "-=") s)
+    (G.int_range 1 2)
+
+(* A general loop's bound: (text, the counter's start as an int, may
+   the body change it).  A literal, the captured scalar [n], a [len],
+   an element at the invariant subscript [i] (int or float bank), or
+   an int local, which the body may assign. *)
+let bound_gen env =
+  let fixed b = (b, b, false) in
+  G.oneof
+    ([ G.map (fun k -> fixed (string_of_int k)) (G.int_range (-3) 5);
+       G.return (fixed "n");
+       G.map
+         (fun a -> fixed (Printf.sprintf "len(%s)" a))
+         (G.oneofl [ "x"; "ix"; "w"; "iw" ]);
+       G.return (fixed "ix[i]");
+       G.return ("iw[i]", "iw[i]", true);
+       G.return ("x[i]", "int_of(x[i])", false) ]
+    @
+    if env.ilocals = [] then []
+    else
+      [ G.map
+          (fun v -> (v, v, List.mem v env.iassign))
+          (G.oneofl env.ilocals) ])
+
 (* One statement; declarations use fresh names only, so every use is
    after its (initialised) declaration on every tier. *)
 let rec stmt_gen env depth : (string list * env) G.t =
@@ -250,27 +301,80 @@ let rec stmt_gen env depth : (string list * env) G.t =
     if depth <= 0 then []
     else
       [ (let name = Printf.sprintf "t%d" env.fresh in
+         let guard = Printf.sprintf "t%d" (env.fresh + 1) in
          (* counter readable but not assignable inside the body *)
          let env' =
-           { env with ilocals = name :: env.ilocals; fresh = env.fresh + 1 }
+           { env with ilocals = name :: env.ilocals; fresh = env.fresh + 2 }
          in
-         let* bound = int_range 2 4 in
+         let* bound, init, changes = bound_gen env in
+         let* up = bool in
+         let* c = int_range 0 4 in
+         let* test = test_gen ~up name bound in
+         let* step = step_gen ~up name in
          let* body_lines, benv = stmts_gen env' (depth - 1) in
+         (* a store that moves an [iw[i]] bound, so its hoist is refused
+            for a reason the result shows *)
+         let* moved =
+           if bound = "iw[i]" then
+             oneofl [ []; [ "iw[i] += 1;" ]; [ "iw[i] -= 1;" ] ]
+           else return []
+         in
          let* brk = bool in
          let body_lines =
-           if brk then
-             body_lines
-             @ [ Printf.sprintf "if (%s > 2) { break; }" name ]
-           else body_lines
+           (* a bound the body may change needs a trip guard *)
+           (if changes || moved <> [] then
+              [ Printf.sprintf "%s += 1;" guard;
+                Printf.sprintf "if (%s > 5) { break; }" guard ]
+            else [])
+           @ moved @ body_lines
+           @
+           if brk then [ Printf.sprintf "if (%s > 2) { break; }" name ]
+           else []
          in
          return
-           ( [ Printf.sprintf "var %s: i64 = 0;" name;
-               Printf.sprintf "while (%s < %d) : (%s += 1) {" name bound
-                 name ]
+           ( [ Printf.sprintf "var %s: i64 = 0;" guard;
+               Printf.sprintf "var %s: i64 = %s %s %d;" name init
+                 (if up then "-" else "+") c;
+               Printf.sprintf "while (%s) : (%s) {" test step ]
              @ indent body_lines @ [ "}" ],
              (* the counter survives the loop; body locals do not, but
                 their names stay burnt *)
              { env' with fresh = benv.fresh } )) ]
+  in
+  let acc_loop =
+    if depth <= 0 then []
+    else
+      [ (let name = Printf.sprintf "t%d" env.fresh in
+         let sum = Printf.sprintf "t%d" (env.fresh + 1) in
+         let* up = bool in
+         let* lo = oneofl [ "0"; "1"; "ix[i]" ] in
+         let* hi = oneofl [ "n"; "len(x)"; "len(w)"; "3"; "ix[i] + 1" ] in
+         let* strict = bool in
+         let bound, init =
+           match (up, strict) with
+           | true, true -> (hi, lo)
+           | true, false -> (hi ^ " - 1", lo)
+           | false, true -> (lo ^ " - 1", hi ^ " - 1")
+           | false, false -> (lo, hi ^ " - 1")
+         in
+         let* test = test_gen ~up ~strict name bound in
+         let* step = step_gen ~up name in
+         let* rhs =
+           oneofl
+             [ Printf.sprintf "x[%s] * x[%s]" name name;
+               Printf.sprintf "x[%s] * x[ix[%s]]" name name ]
+         in
+         return
+           ( [ Printf.sprintf "var %s: f64 = 0.0;" sum;
+               Printf.sprintf "var %s: i64 = %s;" name init;
+               Printf.sprintf "while (%s) : (%s) {" test step;
+               Printf.sprintf "    %s += %s;" sum rhs;
+               "}";
+               Printf.sprintf "w[i] += %s;" sum ],
+             { env with
+               ilocals = name :: env.ilocals;
+               flocals = sum :: env.flocals;
+               fresh = env.fresh + 2 } )) ]
   in
   let continue_stmt =
     if depth <= 0 then []
@@ -279,7 +383,7 @@ let rec stmt_gen env depth : (string list * env) G.t =
          return ([ Printf.sprintf "if (%s) { continue; }" c ], env)) ]
   in
   oneof
-    (store @ store @ decl @ local_assign @ if_stmt @ while_stmt
+    (store @ store @ decl @ local_assign @ if_stmt @ while_stmt @ acc_loop
      @ continue_stmt)
 
 and stmts_gen env depth : (string list * env) G.t =
@@ -308,7 +412,6 @@ let sched_gen =
 let program_gen =
   let open G in
   let env = { flocals = []; ilocals = []; iassign = []; fresh = 0 } in
-  let* body, env' = stmts_gen env 2 in
   let* sched, threads = sched_gen in
   (* Threaded float reduction is bit-nondeterministic (the combine
      order over per-thread partials is not fixed), so a float acc is
@@ -316,19 +419,31 @@ let program_gen =
      wrapping sum is exactly order-insensitive.  Float stores are
      still observed bit-exactly through the serial checksum. *)
   let* accf = if threads = 1 then bool else return false in
-  let* red = if accf then fexpr env' 2 else iexpr env' 2 in
+  (* a float drain whose body is one accumulate runs as a [loop] *)
+  let* dot = if accf then bool else return false in
+  let* body, env' =
+    if dot then return ([], env) else stmts_gen env 2
+  in
+  let* red =
+    if dot then
+      oneofl [ "x[i]"; "x[i] * x[i]"; "x[i] * x[ix[i]]"; "x[i] * w[i]" ]
+    else if accf then fexpr env' 2
+    else iexpr env' 2
+  in
+  let* up = bool in
   let* n = int_range 3 24 in
   let src =
     String.concat "\n"
       ([ "fn f(n: i64, x: []f64, ix: []i64, w: []f64, iw: []i64) f64 {";
          (if accf then "    var acc: f64 = 0.0;"
           else "    var acc: i64 = 0;");
-         "    var i: i64 = 1;";
+         (if up then "    var i: i64 = 1;" else "    var i: i64 = n - 2;");
          Printf.sprintf
            "    //$omp parallel for reduction(+: acc) shared(x, ix, w, \
             iw) %s"
            sched;
-         "    while (i < n - 1) : (i += 1) {" ]
+         (if up then "    while (i < n - 1) : (i += 1) {"
+          else "    while (i >= 1) : (i -= 1) {") ]
       @ indent body
       @ [ Printf.sprintf "        acc += %s;" red;
           "    }";
@@ -395,7 +510,7 @@ let prop_three_tier =
     ~name:
       "random covered programs: walker = compiled = bytecode (results, \
        profile counts), and the VM is entered"
-    ~count:500 ~print:print_case program_gen
+    ~count:500 ~long_factor:20 ~print:print_case program_gen
     (fun (src, n, threads) ->
       let (wres, wcounts, _), (cres, ccounts, cbc), (bres, bcounts, bbc) =
         run_three_tiers src n threads
@@ -417,35 +532,14 @@ let prop_three_tier =
    faults with its own message.  The fault lies in x[k] (k < 0, where
    ix[k] would fault too, so the check order decides the message), in
    ix[k] (k = n+1), or in w[ix[k]] (a negative or too-large entry).   *)
-let csr_oob_gen =
-  let open G in
-  let* fault = oneofl [ `X; `Ix; `W_neg; `W_big ] in
-  let* d = int_range 1 3 in
-  let* n = int_range 1 8 in
-  let* pos = int_range 0 n in
-  let lo, hi, patch =
-    match fault with
-    | `X -> (Printf.sprintf "-%d" d, "n + 1", "")
-    | `Ix -> ("0", "n + 2", "")
-    | `W_neg -> ("0", "n + 1", Printf.sprintf "    ix[%d] = -%d;" pos d)
-    | `W_big -> ("0", "n + 1", Printf.sprintf "    ix[%d] = n - 1 + %d;" pos d)
-  in
-  let src =
-    Printf.sprintf
-      {|
+(* [body] runs in [gather] over x: n+2, ix: n+1 and w: n elements,
+   after [patch] edits ix. *)
+let oob_harness ?(patch = "") body =
+  Printf.sprintf
+    {|
 fn gather(n: i64, x: []f64, ix: []i64, w: []f64) f64 {
     var acc: f64 = 0.0;
-    var i: i64 = 0;
-    //$omp parallel for reduction(+: acc) shared(x, ix, w) schedule(static)
-    while (i < n) : (i += 1) {
-        var s: f64 = 0.0;
-        var k: i64 = %s;
-        var hi: i64 = %s;
-        while (k < hi) : (k += 1) {
-            s += x[k] * w[ix[k]];
-        }
-        acc += s;
-    }
+%s
     return acc;
 }
 
@@ -460,9 +554,37 @@ fn f(n: i64, x0: []f64, ix0: []i64, w: []f64, iw: []i64) f64 {
     return gather(n, x, ix, w);
 }
 |}
-      lo hi patch
+    body patch
+
+let csr_oob_gen =
+  let open G in
+  let* fault = oneofl [ `X; `Ix; `W_neg; `W_big ] in
+  let* d = int_range 1 3 in
+  let* n = int_range 1 8 in
+  let* pos = int_range 0 n in
+  let lo, hi, patch =
+    match fault with
+    | `X -> (Printf.sprintf "-%d" d, "n + 1", "")
+    | `Ix -> ("0", "n + 2", "")
+    | `W_neg -> ("0", "n + 1", Printf.sprintf "    ix[%d] = -%d;" pos d)
+    | `W_big -> ("0", "n + 1", Printf.sprintf "    ix[%d] = n - 1 + %d;" pos d)
   in
-  return (src, n, 1)
+  let body =
+    Printf.sprintf
+      {|    var i: i64 = 0;
+    //$omp parallel for reduction(+: acc) shared(x, ix, w) schedule(static)
+    while (i < n) : (i += 1) {
+        var s: f64 = 0.0;
+        var k: i64 = %s;
+        var hi: i64 = %s;
+        while (k < hi) : (k += 1) {
+            s += x[k] * w[ix[k]];
+        }
+        acc += s;
+    }|}
+      lo hi
+  in
+  return (oob_harness ~patch body, n, 1)
 
 let affine_oob_gen =
   let open G in
@@ -497,12 +619,95 @@ fn f(n: i64, x: []f64, ix: []i64, w: []f64, iw: []i64) f64 {
   let* n = int_range 1 8 in
   return (src, n, 1)
 
-let oob_program_gen = G.oneof [ affine_oob_gen; csr_oob_gen ]
+(* Loops the emitter runs as one [loop] (rule 7), faulting on their
+   first, a middle or their last iteration, over the arrays of
+   [csr_oob_gen]'s three lengths: a dot [s += x[k] * x2[k]] or the
+   gather, as a counted inner while or as the drain itself.  The drain
+   form faults its chunk check, so it runs the guarded twin.  [x] is
+   checked first, and a negative start faults it in both arrays. *)
+let loop_oob_gen =
+  let open G in
+  let* gather = bool in
+  let* drain = bool in
+  let* at = oneofl [ `First; `Middle; `Last ] in
+  let* d = int_range 1 3 in
+  let* n = int_range 1 8 in
+  (* x: n+2, ix: n+1, w: n.  The dot faults in w at n, the gather in
+     ix at n+1. *)
+  let fault = if gather then "n + 1" else "n" in
+  let lo, hi =
+    match at with
+    | `First -> (Printf.sprintf "-%d" d, "n")
+    | `Middle -> ("0", fault ^ " + 2")
+    | `Last -> ("0", fault ^ " + 1")
+  in
+  let rhs k =
+    if gather then Printf.sprintf "x[%s] * w[ix[%s]]" k k
+    else Printf.sprintf "x[%s] * w[%s]" k k
+  in
+  let body =
+    if drain then
+      Printf.sprintf
+        {|    var i: i64 = %s;
+    //$omp parallel for reduction(+: acc) shared(x, ix, w) schedule(static)
+    while (i < %s) : (i += 1) {
+        acc += %s;
+    }|}
+        lo hi (rhs "i")
+    else
+      Printf.sprintf
+        {|    var i: i64 = 0;
+    //$omp parallel for reduction(+: acc) shared(x, ix, w) schedule(static)
+    while (i < n) : (i += 1) {
+        var s: f64 = 0.0;
+        var k: i64 = %s;
+        while (k < %s) : (k += 1) {
+            s += %s;
+        }
+        acc += s;
+    }|}
+        lo hi (rhs "k")
+  in
+  return (oob_harness body, n, 1)
+
+(* A bound that faults (rule 5): [ix[i + d]] runs past the end for the
+   last rows, and is hoisted ahead of the entry test.  With [w[k]]
+   before it, which faults on the same row's entry, it must not be:
+   the closure tier reports [w]'s fault, [w] and [ix] have different
+   lengths, and the loop never runs its body. *)
+let bound_oob_gen =
+  let open G in
+  let* d = int_range 2 3 in
+  let* n = int_range 1 8 in
+  let* first_raises = bool in
+  let init, test =
+    if first_raises then
+      (Printf.sprintf "i + %d" (d - 1), Printf.sprintf "w[k] > ix[i + %d]" d)
+    else ("0", Printf.sprintf "k < ix[i + %d]" d)
+  in
+  let body =
+    Printf.sprintf
+      {|    var i: i64 = 0;
+    //$omp parallel for reduction(+: acc) shared(x, ix, w) schedule(static)
+    while (i < n) : (i += 1) {
+        var s: f64 = 0.0;
+        var k: i64 = %s;
+        while (%s) : (k += 1) {
+            s += x[k] * w[k];
+        }
+        acc += s;
+    }|}
+      init test
+  in
+  return (oob_harness body, n, 1)
+
+let oob_program_gen =
+  G.oneof [ affine_oob_gen; csr_oob_gen; loop_oob_gen; bound_oob_gen ]
 
 let prop_oob_parity =
   QCheck2.Test.make
     ~name:"out-of-bounds bodies: identical error on all three tiers"
-    ~count:100 ~print:print_case oob_program_gen
+    ~count:100 ~long_factor:20 ~print:print_case oob_program_gen
     (fun (src, n, threads) ->
       let (wres, _, _), (cres, _, _), (bres, _, _) =
         run_three_tiers src n threads
@@ -555,7 +760,7 @@ let stencil_golden =
   \  @24   L22   mulc.ld.fu f1, 0.25 * a__ptr[i0{iv}+1]   [unguarded]\n\
   \  @30   L22   add.f f0, f0, f1\n\
   \  @36   L22   st.f b__ptr[i0{iv}], f0   [unguarded]\n\
-  \  @42   L21   addcmple.br i0{iv} += 1, <= i1{upper}, @6\n\
+  \  @42   L21   addcmp.br i0{iv} += 1, le i1{upper}, @6\n\
   \  @48   L21   halt\n\
    code (guarded twin):\n\
   \  @0    L21   cmpbr.ii !le i0{iv}, i1{upper}, @90\n\
@@ -572,7 +777,7 @@ let stencil_golden =
   \  @66   L22   mul.f f1, f1, f2\n\
   \  @72   L22   add.f f0, f0, f1\n\
   \  @78   L22   st.f b__ptr[i0{iv}], f0   [unguarded]\n\
-  \  @84   L21   addcmple.br i0{iv} += 1, <= i1{upper}, @6\n\
+  \  @84   L21   addcmp.br i0{iv} += 1, le i1{upper}, @6\n\
   \  @90   L21   halt\n"
 
 let test_stencil_golden () =
@@ -580,10 +785,11 @@ let test_stencil_golden () =
   Alcotest.(check string) "drain label" "__omp_outlined_0#0" label;
   Alcotest.(check string) "stencil body listing" stencil_golden listing
 
-(* NPB CG's SpMV shape.  The inner loop must stay at 4 dispatches per
-   nonzero: the fused gather (bounds-checked a[k], colidx[k], then
-   x[colidx[k]]), the counter's addi.i, and the rotated loop test's
-   load and compare-branch. *)
+(* NPB CG's SpMV shape.  The inner loop costs no dispatch per nonzero:
+   its bound [rowstr[row + 1]] is loaded once before the entry test
+   (rule 5), and the fused gather (bounds-checked a[k], colidx[k],
+   then x[colidx[k]]) runs under one [loop] (rule 7) that carries the
+   counter's step and the test [k < bound]. *)
 let spmv_src =
   {|
 fn spmv(nrows: i64, a: []f64, colidx: []i64, rowstr: []i64,
@@ -613,32 +819,28 @@ let spmv_golden =
   \  y__ptr[iv+0 .. iv+0] in range over the chunk\n\
   \  rowstr__ptr[iv+0 .. iv+1] in range over the chunk\n\
    code (elided):\n\
-  \  @0    L25   cmpbr.ii !le i0{iv}, i1{upper}, @66\n\
+  \  @0    L25   cmpbr.ii !le i0{iv}, i1{upper}, @54\n\
   \  @6    L26   ldc.f f0{s}, 0\n\
   \  @12   L27   ld.iu i2{k}, rowstr__ptr[i0{iv}]   [unguarded]\n\
   \  @18   L28   ld.iu i3, rowstr__ptr[i0{iv}+1]   [unguarded]\n\
-  \  @24   L28   cmpbr.ii !lt i2{k}, i3, @54\n\
-  \  @30   L29   accmul.ld.ldx.f f0{s} += a__ptr[i2{k}] * x__ptr[colidx__ptr[i2{k}]]\n\
-  \  @36   L28   addi.i i2{k}, i2{k}, 1\n\
-  \  @42   L28   ld.iu i3, rowstr__ptr[i0{iv}+1]   [unguarded]\n\
-  \  @48   L28   cmpbr.ii !ge i2{k}, i3, @30\n\
-  \  @54   L31   st.f y__ptr[i0{iv}], f0{s}   [unguarded]\n\
-  \  @60   L25   addcmple.br i0{iv} += 1, <= i1{upper}, @6\n\
-  \  @66   L25   halt\n\
+  \  @24   L28   cmpbr.ii !lt i2{k}, i3, @42\n\
+  \  @30   L28   loop i2{k} += 1, lt i3, @42\n\
+  \  @36   L29   accmul.ld.ldx.f f0{s} += a__ptr[i2{k}] * x__ptr[colidx__ptr[i2{k}]]\n\
+  \  @42   L31   st.f y__ptr[i0{iv}], f0{s}   [unguarded]\n\
+  \  @48   L25   addcmp.br i0{iv} += 1, le i1{upper}, @6\n\
+  \  @54   L25   halt\n\
    code (guarded twin):\n\
-  \  @0    L25   cmpbr.ii !le i0{iv}, i1{upper}, @72\n\
+  \  @0    L25   cmpbr.ii !le i0{iv}, i1{upper}, @60\n\
   \  @6    L26   ldc.f f0{s}, 0\n\
   \  @12   L27   ld.i i2{k}, rowstr__ptr[i0{iv}]\n\
   \  @18   L28   ld.i i3, rowstr__ptr[i0{iv}+1]\n\
-  \  @24   L28   cmpbr.ii !lt i2{k}, i3, @54\n\
-  \  @30   L29   accmul.ld.ldx.f f0{s} += a__ptr[i2{k}] * x__ptr[colidx__ptr[i2{k}]]\n\
-  \  @36   L28   addi.i i2{k}, i2{k}, 1\n\
-  \  @42   L28   ld.i i3, rowstr__ptr[i0{iv}+1]\n\
-  \  @48   L28   cmpbr.ii !ge i2{k}, i3, @30\n\
-  \  @54   L31   chk.f y__ptr[i0{iv}]\n\
-  \  @60   L31   st.f y__ptr[i0{iv}], f0{s}   [unguarded]\n\
-  \  @66   L25   addcmple.br i0{iv} += 1, <= i1{upper}, @6\n\
-  \  @72   L25   halt\n"
+  \  @24   L28   cmpbr.ii !lt i2{k}, i3, @42\n\
+  \  @30   L28   loop i2{k} += 1, lt i3, @42\n\
+  \  @36   L29   accmul.ld.ldx.f f0{s} += a__ptr[i2{k}] * x__ptr[colidx__ptr[i2{k}]]\n\
+  \  @42   L31   chk.f y__ptr[i0{iv}]\n\
+  \  @48   L31   st.f y__ptr[i0{iv}], f0{s}   [unguarded]\n\
+  \  @54   L25   addcmp.br i0{iv} += 1, le i1{upper}, @6\n\
+  \  @60   L25   halt\n"
 
 let test_spmv_golden () =
   let nrows = 4 in
@@ -652,6 +854,52 @@ let test_spmv_golden () =
   in
   Alcotest.(check string) "drain label" "__omp_outlined_0#0" label;
   Alcotest.(check string) "spmv body listing" spmv_golden listing
+
+(* A dot product's drain: its body is one accumulate, so the drain's
+   own back edge becomes a [loop] and a claimed chunk costs three
+   dispatches, whatever its length.  The guarded twin keeps the shape
+   with the guarded accumulate. *)
+let dot_src =
+  {|
+fn dot(n: i64, a: []f64, b: []f64) f64 {
+    var s: f64 = 0.0;
+    var i: i64 = 0;
+    //$omp parallel for reduction(+: s) shared(a, b)
+    while (i < n) : (i += 1) {
+        s += a[i] * b[i];
+    }
+    return s;
+}
+|}
+
+let dot_golden =
+  "registers: 2 int (iv=i0, upper=i1), 1 float\n\
+  \  cap  f0 <- slot 7 's'  [written back]\n\
+  \  farr 0 <- slot 3 'a__ptr' (deref)\n\
+  \  farr 1 <- slot 4 'b__ptr' (deref)\n\
+   chunk check (all pass => elided code, else guarded):\n\
+  \  a__ptr[iv+0 .. iv+0] in range over the chunk\n\
+  \  b__ptr[iv+0 .. iv+0] in range over the chunk\n\
+   code (elided):\n\
+  \  @0    L25   cmpbr.ii !le i0{iv}, i1{upper}, @18\n\
+  \  @6    L25   loop i0{iv} += 1, le i1{upper}, @18\n\
+  \  @12   L26   accmul.ld.ld.fu f0{s} += a__ptr[i0{iv}] * b__ptr[i0{iv}]   [unguarded]\n\
+  \  @18   L25   halt\n\
+   code (guarded twin):\n\
+  \  @0    L25   cmpbr.ii !le i0{iv}, i1{upper}, @18\n\
+  \  @6    L25   loop i0{iv} += 1, le i1{upper}, @18\n\
+  \  @12   L26   accmul.ld.ld.f f0{s} += a__ptr[i0{iv}] * b__ptr[i0{iv}]\n\
+  \  @18   L25   halt\n"
+
+let test_dot_golden () =
+  let n = 8 in
+  let label, listing =
+    drain_listing ~name:"dot.zr" dot_src "dot"
+      [ V.VInt n; V.VFloatArr (Array.init n float_of_int);
+        V.VFloatArr (Array.make n 2.) ]
+  in
+  Alcotest.(check string) "drain label" "__omp_outlined_0#0" label;
+  Alcotest.(check string) "dot drain listing" dot_golden listing
 
 (* Register allocation of the NPB CG loop bodies: every drain of
    conj_grad specialises (no bailouts), and the register-file header
@@ -873,6 +1121,8 @@ let suite =
     Alcotest.test_case "stencil body listing golden" `Quick
       test_stencil_golden;
     Alcotest.test_case "spmv body listing golden" `Quick test_spmv_golden;
+    Alcotest.test_case "dot-product drain listing golden" `Quick
+      test_dot_golden;
     Alcotest.test_case "CG bodies: register-allocation golden" `Quick
       test_cg_regalloc_golden;
     Alcotest.test_case "collapse(n) drains enter the VM (recover op)" `Quick

@@ -303,6 +303,9 @@ let shapes =
     shape "collapse(2), non-rectangular" ~clauses:" collapse(2)"
       "while (i < 4) : (i += 1) { j = 0; while (j < i) : (j += 1) { hits[i \
        * 4 + j] = 1.0; } }"
+      ~lowered:
+        "worksharing loop: the loop nest is not rectangular (the inner \
+         bounds depend on the outer counter)"
       ~refusal:
         "the loop nest is not rectangular (the inner bounds depend on the \
          outer counter)"

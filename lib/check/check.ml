@@ -100,7 +100,8 @@ let check_source ?(name = "<input>") ?(config = default_config) src :
           in
           Report.make ~name (f :: lints)
       | ast ->
-          let load () = Interp.of_ast ast in
+          let res = Interp.resolve ast in
+          let load () = Interp.instantiate res in
           if not (Hashtbl.mem (load ()).Interp.fns "main") then
             Report.make ~name lints
           else
@@ -123,6 +124,7 @@ let check_run ?(name = "<zr>") ?(config = default_config) ~source
   | exception Zr.Source.Error msg ->
       Report.make ~name [ Report.error ~detail:msg ]
   | ast ->
-      let load () = Interp.of_ast ast in
+      let res = Interp.resolve ast in
+      let load () = Interp.instantiate res in
       let dyn, expl = dynamic ~config ~load ~run:entry in
       Report.make ~name ~exploration:expl (lints @ dyn)

@@ -128,6 +128,11 @@ let new_exec ~prefix =
     atf = []; ati = []; disp = [];
     cands = Hashtbl.create 32 }
 
+(* [List.mem] on thread ids without the polymorphic comparison. *)
+let rec mem_id (id : int) = function
+  | [] -> false
+  | x :: rest -> x = id || mem_id id rest
+
 (** The scheduling decision: replay the forced prefix while it lasts,
     then default to staying on the current thread (minimising
     preemptions, which keeps the first execution of every prefix inside
@@ -136,18 +141,18 @@ let new_exec ~prefix =
 let decide ex ~enabled =
   let n = Vec.length ex.choices in
   let chosen =
-    if n < Array.length ex.prefix && List.mem ex.prefix.(n) enabled then
+    if n < Array.length ex.prefix && mem_id ex.prefix.(n) enabled then
       ex.prefix.(n)
     else begin
       if n < Array.length ex.prefix then ex.diverged <- true;
-      if ex.last >= 0 && List.mem ex.last enabled then ex.last
+      if ex.last >= 0 && mem_id ex.last enabled then ex.last
       else List.hd enabled
     end
   in
   Vec.push ex.choices chosen;
   Vec.push ex.enabled enabled;
   Vec.push ex.switches
-    (ex.last >= 0 && chosen <> ex.last && List.mem ex.last enabled);
+    (ex.last >= 0 && chosen <> ex.last && mem_id ex.last enabled);
   ex.last <- chosen;
   chosen
 
@@ -212,7 +217,7 @@ let backtrack ex ~step:s ~gid =
     let there = Vec.get ex.enabled s in
     let chosen_there = Vec.get ex.choices s in
     let tids =
-      if List.mem gid there then [ gid ]
+      if mem_id gid there then [ gid ]
       else List.filter (fun t -> t <> chosen_there) there
     in
     List.iter
@@ -315,7 +320,7 @@ let harvest ex : (pending * int * int) list =
         let forced_preempt =
           s > 0
           && q <> Vec.get ex.choices (s - 1)
-          && List.mem (Vec.get ex.choices (s - 1)) (Vec.get ex.enabled s)
+          && mem_id (Vec.get ex.choices (s - 1)) (Vec.get ex.enabled s)
         in
         ( { p_choices = choices; p_s = s; p_q = q },
           pre.(s) + (if forced_preempt then 1 else 0),

@@ -128,7 +128,8 @@ let group_threads ts =
 
 (* A scheduling point inside a region: the DPOR execution decides which
    thread runs next. *)
-let pause sess ts = if ts.frames <> [] then Des.advance sess.des 1.0
+let pause sess ts =
+  match ts.frames with [] -> () | _ :: _ -> Des.advance sess.des 1.0
 
 (* Report a visible operation to the DPOR engine; must run after the
    [pause] of the same operation, so the event lands on the decision

@@ -261,31 +261,17 @@ let base_expr pa node : int =
 let int_lit_of pa node : int option =
   let n = Ast.node pa.ast node in
   match n.Ast.tag with
-  | Ast.Int_lit ->
-      let text = Ast.token_text pa.ast n.Ast.main_token in
-      let text = String.concat "" (String.split_on_char '_' text) in
-      int_of_string_opt text
+  | Ast.Int_lit -> Some (Ast.int_lit pa.ast node)
   | Ast.Un_op
-    when (Ast.token pa.ast n.Ast.main_token).Token.tag = Token.Minus -> (
-      let l = Ast.node pa.ast n.Ast.lhs in
-      if l.Ast.tag <> Ast.Int_lit then None
-      else
-        let text = Ast.token_text pa.ast l.Ast.main_token in
-        let text = String.concat "" (String.split_on_char '_' text) in
-        match int_of_string_opt text with
-        | Some i -> Some (-i)
-        | None -> None)
+    when (Ast.token pa.ast n.Ast.main_token).Token.tag = Token.Minus ->
+      if (Ast.node pa.ast n.Ast.lhs).Ast.tag <> Ast.Int_lit then None
+      else Some (-Ast.int_lit pa.ast n.Ast.lhs)
   | _ -> None
 
 let rec uexpr pa node : uexpr =
   let n = Ast.node pa.ast node in
   match n.Ast.tag with
-  | Ast.Int_lit ->
-      let text = Ast.token_text pa.ast n.Ast.main_token in
-      let text = String.concat "" (String.split_on_char '_' text) in
-      (match int_of_string_opt text with
-       | Some i -> UConstI i
-       | None -> bail "integer literal out of range")
+  | Ast.Int_lit -> UConstI (Ast.int_lit pa.ast node)
   | Ast.Float_lit ->
       let text = Ast.token_text pa.ast n.Ast.main_token in
       (match float_of_string_opt text with

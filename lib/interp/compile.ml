@@ -355,12 +355,7 @@ let rec compile_expr ctx node : ce =
   let ast = ctx.cp.prog.ast in
   let n = Ast.node ast node in
   match n.Ast.tag with
-  | Ast.Int_lit ->
-      let text = Ast.token_text ast n.main_token in
-      let text = String.concat "" (String.split_on_char '_' text) in
-      (match int_of_string_opt text with
-       | Some i -> Const (V.VInt i)
-       | None -> Dyn (fun _ -> V.VInt (int_of_string text)))
+  | Ast.Int_lit -> Const (V.VInt (Ast.int_lit ast node))
   | Ast.Float_lit ->
       let text = Ast.token_text ast n.main_token in
       (match float_of_string_opt text with

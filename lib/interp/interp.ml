@@ -28,6 +28,7 @@ module Rt = Rt
 module Builtins = Builtins
 module Bc = Bc
 module Bcgen = Bcgen
+module Resolve = Resolve
 
 exception Return_exc = Rt.Return_exc
 exception Break_exc = Rt.Break_exc
@@ -45,15 +46,33 @@ type slot = Rt.slot =
 
 type program = Rt.program = {
   ast : Ast.t;
+  mutable res : Resolve.t option;         (* the walker's table of [ast] *)
   fns : (string, int) Hashtbl.t;          (* name -> Fn_decl node *)
   globals : (string, slot) Hashtbl.t;
 }
 
 let slot_cell = Rt.slot_cell
 
+(* The walker's table of [prog], built the first time the walker runs
+   the program's code: a global initialiser or a host call, both on the
+   calling thread, and every parallel region forks from inside a call.
+   The compiled tiers never build it. *)
+let resolved prog =
+  match prog.res with
+  | Some res -> res
+  | None ->
+      let res = Resolve.build prog.ast in
+      prog.res <- Some res;
+      res
+
+(* A scope binds interned names ({!Resolve}) to cells, the latest
+   declaration first. *)
+type scope = (int * Value.t ref) list ref
+
 type env = {
   prog : program;
-  scopes : (string, Value.t ref) Hashtbl.t list;  (* innermost first *)
+  res : Resolve.t;      (* [resolved prog] *)
+  scopes : scope list;  (* innermost first *)
 }
 
 let err = Value.err
@@ -61,25 +80,31 @@ let err = Value.err
 (* ------------------------------------------------------------------ *)
 (* Environment.                                                        *)
 
-let push_scope env = { env with scopes = Hashtbl.create 8 :: env.scopes }
+let push_scope env = { env with scopes = ref [] :: env.scopes }
 
-let declare env name v =
+let declare env id v =
   match env.scopes with
-  | scope :: _ -> Hashtbl.replace scope name (ref v)
+  | scope :: _ -> scope := (id, ref v) :: !scope
   | [] -> assert false
 
-let rec lookup_cell scopes name =
+let rec find_id id = function
+  | [] -> None
+  | (k, cell) :: rest -> if k = id then Some cell else find_id id rest
+
+let rec lookup_cell scopes id =
   match scopes with
   | [] -> None
   | scope :: rest ->
-      (match Hashtbl.find_opt scope name with
-       | Some cell -> Some cell
-       | None -> lookup_cell rest name)
+      (match find_id id !scope with
+       | Some _ as cell -> cell
+       | None -> lookup_cell rest id)
 
-let find_cell env name =
-  match lookup_cell env.scopes name with
-  | Some cell -> Some cell
-  | None -> Option.map slot_cell (Hashtbl.find_opt env.prog.globals name)
+let find_cell env id =
+  match lookup_cell env.scopes id with
+  | Some _ as cell -> cell
+  | None ->
+      Option.map slot_cell
+        (Hashtbl.find_opt env.prog.globals env.res.names.(id))
 
 (* Value semantics (arithmetic, comparison, pointer access) live in
    {!Rt}, shared verbatim with the compiled backend. *)
@@ -100,21 +125,12 @@ let ptr_write = Rt.ptr_write
    reference), after which direct accesses are traced too; the pointer
    side always routes through [Deref]. *)
 
-(** Best-effort variable name for an access site. *)
-let rec access_hint ast node =
-  let n = Ast.node ast node in
-  match n.Ast.tag with
-  | Ast.Ident -> Ast.token_text ast n.main_token
-  | Ast.Index | Ast.Deref | Ast.Field -> access_hint ast n.lhs
-  | _ -> ""
-
 let trace_access env ~rw node (acc : Rt.access) =
   match !Rt.tracer with
   | None -> ()
   | Some t ->
-      let ast = env.prog.ast in
-      let off = (Ast.token ast (Ast.node ast node).Ast.main_token).Token.start in
-      t.Rt.trace ~rw acc ~off ~hint:(access_hint ast node)
+      let res = env.res in
+      t.Rt.trace ~rw acc ~off:res.off.(node) ~hint:res.hint.(node)
 
 let access_of_ptr = function
   | Value.PVar r -> Some (Rt.Acell r)
@@ -131,27 +147,21 @@ let trace_ptr env ~rw node p =
 (* Evaluation.                                                         *)
 
 let rec eval env node : Value.t =
-  let ast = env.prog.ast in
+  let ast = env.prog.ast and res = env.res in
   let n = Ast.node ast node in
   match n.Ast.tag with
-  | Ast.Int_lit ->
-      let text = Ast.token_text ast n.main_token in
-      let text = String.concat "" (String.split_on_char '_' text) in
-      VInt (int_of_string text)
-  | Ast.Float_lit -> VFloat (float_of_string (Ast.token_text ast n.main_token))
-  | Ast.String_lit ->
-      let raw = Ast.token_text ast n.main_token in
-      VStr (Scanf.unescaped (String.sub raw 1 (String.length raw - 2)))
-  | Ast.Bool_lit -> VBool (Ast.token_text ast n.main_token = "true")
+  | Ast.Int_lit | Ast.Float_lit | Ast.String_lit | Ast.Bool_lit ->
+      res.lit.(n.main_token)
   | Ast.Undefined_lit -> VUndef
   | Ast.Ident ->
-      let name = Ast.token_text ast n.main_token in
-      (match lookup_cell env.scopes name with
+      let id = res.name.(n.main_token) in
+      (match lookup_cell env.scopes id with
        | Some cell ->
            if Rt.is_escaped cell then
              trace_access env ~rw:`R node (Rt.Acell cell);
            !cell
        | None ->
+           let name = res.names.(id) in
            (match Hashtbl.find_opt env.prog.globals name with
             | Some (Rt.Plain cell) ->
                 trace_access env ~rw:`R node (Rt.Acell cell);
@@ -186,7 +196,7 @@ let rec eval env node : Value.t =
        | v -> err "indexing a %s" (Value.type_name v))
   | Ast.Field ->
       let base = eval env n.lhs in
-      let fname = Ast.token_text ast n.main_token in
+      let fname = res.names.(res.name.(n.main_token)) in
       (match base with
        | VStruct fields -> Value.struct_field fields fname
        | v -> err "field access '.%s' on %s" fname (Value.type_name v))
@@ -203,7 +213,7 @@ let rec eval env node : Value.t =
         List.init count (fun k ->
             let name_tok = Ast.extra ast (n.rhs + 1 + (2 * k)) in
             let vnode = Ast.extra ast (n.rhs + 2 + (2 * k)) in
-            (Ast.token_text ast name_tok, eval env vnode))
+            (res.names.(res.name.(name_tok)), eval env vnode))
       in
       VStruct fields
   | Ast.Call -> eval_call env node
@@ -237,16 +247,17 @@ and eval_binop env n =
        | t -> err "unsupported binary operator '%s'" (Token.tag_to_string t))
 
 and eval_addr_of env node =
-  let ast = env.prog.ast in
+  let ast = env.prog.ast and res = env.res in
   let n = Ast.node ast node in
   match n.Ast.tag with
   | Ast.Ident ->
-      let name = Ast.token_text ast n.main_token in
-      (match find_cell env name with
+      let id = res.name.(n.main_token) in
+      (match find_cell env id with
        | Some cell ->
            Rt.note_escape cell;
            VPtr (PVar cell)
-       | None -> err "address of undeclared identifier '%s'" name)
+       | None ->
+           err "address of undeclared identifier '%s'" res.names.(id))
   | Ast.Deref ->
       (* &p.* is p *)
       (match eval env n.lhs with
@@ -263,12 +274,12 @@ and eval_addr_of env node =
 
 (* lvalue evaluation: returns read/write access *)
 and eval_lvalue env node : (unit -> Value.t) * (Value.t -> unit) =
-  let ast = env.prog.ast in
+  let ast = env.prog.ast and res = env.res in
   let n = Ast.node ast node in
   match n.Ast.tag with
   | Ast.Ident ->
-      let name = Ast.token_text ast n.main_token in
-      (match lookup_cell env.scopes name with
+      let id = res.name.(n.main_token) in
+      (match lookup_cell env.scopes id with
        | Some cell ->
            ((fun () ->
                if Rt.is_escaped cell then
@@ -279,6 +290,7 @@ and eval_lvalue env node : (unit -> Value.t) * (Value.t -> unit) =
                 trace_access env ~rw:`W node (Rt.Acell cell);
               cell := v)
        | None ->
+           let name = res.names.(id) in
            (match Hashtbl.find_opt env.prog.globals name with
             | Some (Rt.Plain cell) ->
                 ((fun () ->
@@ -327,16 +339,17 @@ and eval_lvalue env node : (unit -> Value.t) * (Value.t -> unit) =
   | _ -> err "invalid assignment target"
 
 and exec env node : unit =
-  let ast = env.prog.ast in
+  let ast = env.prog.ast and res = env.res in
   let n = Ast.node ast node in
   match n.Ast.tag with
   | Ast.Block ->
-      let inner = push_scope env in
-      List.iter (exec inner) (Ast.block_stmts ast node)
+      let inner = if res.scoped.(node) then push_scope env else env in
+      for i = n.lhs to n.rhs - 1 do
+        exec inner (Ast.extra ast i)
+      done
   | Ast.Var_decl | Ast.Const_decl ->
-      let name = Ast.token_text ast n.main_token in
       let v = if n.rhs = 0 then Value.VUndef else eval env n.rhs in
-      declare env name v
+      declare env res.name.(n.main_token) v
   | Ast.Assign ->
       let read, write = eval_lvalue env n.lhs in
       let rhs = eval env n.rhs in
@@ -390,44 +403,47 @@ and exec env node : unit =
 (* Calls.                                                              *)
 
 and eval_call env node : Value.t =
-  let ast = env.prog.ast in
+  let prog = env.prog and res = env.res in
+  let ast = prog.ast in
   let n = Ast.node ast node in
-  let args_nodes = Ast.call_args ast node in
   let callee = Ast.node ast n.lhs in
   match callee.Ast.tag with
   | Ast.Field ->
       let base = Ast.node ast callee.Ast.lhs in
-      let meth = Ast.token_text ast callee.Ast.main_token in
+      let meth = res.names.(res.name.(callee.Ast.main_token)) in
       if base.Ast.tag = Ast.Ident
-         && Ast.token_text ast base.Ast.main_token = "omp"
-         && find_cell env "omp" = None
-      then
-        let args = List.map (eval env) args_nodes in
-        Builtins.omp_namespace meth args
+         && res.name.(base.Ast.main_token) = res.omp
+         && Option.is_none (find_cell env res.omp)
+      then Builtins.omp_namespace meth (eval_args env n.rhs)
       else begin
         (* method-style call through a struct field holding a function *)
         match eval env n.lhs with
-        | Value.VFun fname ->
-            call_function env.prog fname (List.map (eval env) args_nodes)
+        | Value.VFun fname -> call_function prog fname (eval_args env n.rhs)
         | v -> err "call of %s" (Value.type_name v)
       end
   | Ast.Ident ->
-      let fname = Ast.token_text ast callee.Ast.main_token in
-      (match find_cell env fname with
+      let id = res.name.(callee.Ast.main_token) in
+      (match find_cell env id with
        | Some { contents = Value.VFun f } ->
-           call_function env.prog f (List.map (eval env) args_nodes)
+           call_function prog f (eval_args env n.rhs)
        | Some v -> err "call of %s" (Value.type_name !v)
        | None ->
-           if Hashtbl.mem env.prog.fns fname then
-             call_function env.prog fname (List.map (eval env) args_nodes)
+           let fname = res.names.(id) in
+           if Hashtbl.mem prog.fns fname then
+             call_function prog fname (eval_args env n.rhs)
            else
-             Builtins.dispatch ~call:(call_function env.prog) fname
-               (List.map (eval env) args_nodes))
+             Builtins.dispatch ~call:(call_function prog) fname
+               (eval_args env n.rhs))
   | _ ->
       (match eval env n.lhs with
-       | Value.VFun fname ->
-           call_function env.prog fname (List.map (eval env) args_nodes)
+       | Value.VFun fname -> call_function prog fname (eval_args env n.rhs)
        | v -> err "call of %s" (Value.type_name v))
+
+(* The arguments of the call whose [rhs] is [base], left to right. *)
+and eval_args env base : Value.t list =
+  let ast = env.prog.ast in
+  List.init (Ast.extra ast base) (fun k ->
+      eval env (Ast.extra ast (base + 1 + k)))
 
 and call_function prog fname args : Value.t =
   match Hashtbl.find_opt prog.fns fname with
@@ -440,11 +456,10 @@ and call_function prog fname args : Value.t =
       if List.length args <> nparams then
         err "function '%s' expects %d arguments, got %d" fname nparams
           (List.length args);
-      let env = { prog; scopes = [ Hashtbl.create 8 ] } in
+      let res = resolved prog in
+      let env = { prog; res; scopes = [ ref [] ] } in
       List.iteri
-        (fun k v ->
-          let name_tok = Ast.extra ast (proto + 1 + (2 * k)) in
-          declare env (Ast.token_text ast name_tok) v)
+        (fun k v -> declare env res.name.(Ast.extra ast (proto + 1 + (2 * k))) v)
         args;
       (try
          exec env n.Ast.rhs;
@@ -462,12 +477,13 @@ let parse ?(name = "<input>") ?(preprocess = true) (source : string) : Ast.t =
     (Preproc.Preprocess.run_parsed ~name source).Preproc.Synth.ast
   else fst (Parser.parse_string ~name source)
 
-(** A fresh program over a parsed one: register functions and evaluate
-    global initialisers in order.  Each call has its own globals, so one
-    parse can back many executions. *)
-let of_ast (ast : Ast.t) : program =
+(** A fresh program over a parsed one and its walker table, if built:
+    register functions and evaluate global initialisers in order.  Each
+    call has its own globals, so one parse can back many executions. *)
+let new_program (ast : Ast.t) (res : Resolve.t option) : program =
   let prog = {
     ast;
+    res;
     fns = Hashtbl.create 16;
     globals = Hashtbl.create 16;
   } in
@@ -479,8 +495,10 @@ let of_ast (ast : Ast.t) : program =
           Hashtbl.replace prog.fns (Ast.token_text ast n.main_token) d
       | Ast.Var_decl | Ast.Const_decl ->
           let name = Ast.token_text ast n.main_token in
-          let env = { prog; scopes = [] } in
-          let v = if n.rhs = 0 then Value.VUndef else eval env n.rhs in
+          let v =
+            if n.rhs = 0 then Value.VUndef
+            else eval { prog; res = resolved prog; scopes = [] } n.rhs
+          in
           Hashtbl.replace prog.globals name (Plain (ref v))
       | Ast.Omp_threadprivate ->
           (* convert the named globals to per-thread storage, seeded
@@ -504,6 +522,19 @@ let of_ast (ast : Ast.t) : program =
       | _ -> ())
     (Ast.top_decls ast);
   prog
+
+(** [of_ast ast] — a fresh program; its walker table is built if the
+    walker runs it. *)
+let of_ast ast = new_program ast None
+
+(** The walker's table of a parsed program ({!Resolve}), for a caller
+    that runs the program many times: build it once, then
+    {!instantiate} it for every execution. *)
+let resolve : Ast.t -> Resolve.t = Resolve.build
+
+(** A fresh program over a resolved one, as {!of_ast}. *)
+let instantiate (res : Resolve.t) : program =
+  new_program res.Resolve.ast (Some res)
 
 (** [load] — {!parse} then {!of_ast}. *)
 let load ?name ?preprocess source = of_ast (parse ?name ?preprocess source)

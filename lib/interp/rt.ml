@@ -26,6 +26,7 @@ type slot =
 
 type program = {
   ast : Ast.t;
+  mutable res : Resolve.t option;         (* the walker's table of [ast] *)
   fns : (string, int) Hashtbl.t;          (* name -> Fn_decl node *)
   globals : (string, slot) Hashtbl.t;
 }
@@ -73,10 +74,12 @@ let pending_op : string option ref = ref None
 let escaped : Value.t ref list ref = ref []
 
 let note_escape (r : Value.t ref) =
-  if !tracer <> None && not (List.memq r !escaped) then
-    escaped := r :: !escaped
+  match !tracer with
+  | Some _ when not (List.memq r !escaped) -> escaped := r :: !escaped
+  | _ -> ()
 
-let is_escaped (r : Value.t ref) = !tracer <> None && List.memq r !escaped
+let is_escaped (r : Value.t ref) =
+  match !tracer with None -> false | Some _ -> List.memq r !escaped
 
 (** Key for [threadprivate] storage: the domain id in production, the
     virtual-thread id under the checker. *)

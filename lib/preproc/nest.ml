@@ -50,10 +50,7 @@ let rec affine ?(lookup = fun _ -> None) ?outer ?inner ast node :
   let op () = (Ast.token ast n.Ast.main_token).Token.tag in
   let text node = Ast.token_text ast (Ast.node ast node).Ast.main_token in
   match n.Ast.tag with
-  | Ast.Int_lit -> (
-      match int_of_string_opt (text node) with
-      | Some v -> Some (const v)
-      | None -> None)
+  | Ast.Int_lit -> Option.map const (Ast.int_of_literal (text node))
   | Ast.Ident -> (
       match counter (text node) with
       | Some a -> Some a

@@ -112,6 +112,26 @@ let token t i = t.tokens.(i)
 
 let token_text t i = Tokenizer.text t.source t.tokens.(i)
 
+(** The value of an integer literal's text (decimal digits; OCaml's
+    reader skips the [_] separators), or [None] when it does not fit in
+    the interpreter's 63-bit int.  The parser rejects such a literal,
+    so on a parsed tree every [Int_lit] reads through {!int_lit}. *)
+let int_of_literal text = int_of_string_opt text
+
+(** The value of a string literal's text (quotes included, OCaml
+    escapes), or [None] when an escape does not read; the parser
+    rejects such a literal too. *)
+let string_of_literal text =
+  match Scanf.unescaped (String.sub text 1 (String.length text - 2)) with
+  | s -> Some s
+  | exception Scanf.Scan_failure _ -> None
+
+(** The value of [Int_lit] node [i]. *)
+let int_lit t i =
+  match int_of_literal (token_text t t.nodes.(i).main_token) with
+  | Some v -> v
+  | None -> invalid_arg "Ast.int_lit: the parser admits no such literal"
+
 (** Source byte range covered by node [i]: requires the first and last
     token indices, which the parser records implicitly through
     [main_token]; for ranges we compute bounds by walking children.  The

@@ -137,6 +137,15 @@ and snd_span st node = snd st.spans.(node)
 (* ------------------------------------------------------------------ *)
 (* Expressions: precedence climbing.                                   *)
 
+(* Take the literal token at the cursor, rejecting it with [msg] where
+   it is written when [read] cannot give its value. *)
+let literal st read msg =
+  let t0 = next st in
+  let text = tok_text st t0 in
+  if Option.is_none (read text) then
+    Source.error st.src st.tokens.(t0).Token.start msg text;
+  t0
+
 let binop_prec = function
   | Token.Kw_or -> Some 1
   | Token.Kw_and -> Some 2
@@ -238,7 +247,8 @@ and parse_postfix st =
 and parse_primary st =
   match peek st with
   | Token.Int_literal ->
-      let t0 = next st in
+      let t0 = literal st Ast.int_of_literal
+          "integer literal %s does not fit in i64" in
       add_node st { tag = Ast.Int_lit; main_token = t0; lhs = 0; rhs = 0 }
         (t0, t0)
   | Token.Float_literal ->
@@ -246,7 +256,8 @@ and parse_primary st =
       add_node st { tag = Ast.Float_lit; main_token = t0; lhs = 0; rhs = 0 }
         (t0, t0)
   | Token.String_literal ->
-      let t0 = next st in
+      let t0 = literal st Ast.string_of_literal
+          "string literal %s has an invalid escape sequence" in
       add_node st { tag = Ast.String_lit; main_token = t0; lhs = 0; rhs = 0 }
         (t0, t0)
   | Token.Kw_true | Token.Kw_false ->
@@ -377,15 +388,13 @@ let parse_red_op st =
 let node_int_lit st n =
   let node = st.nodes.(n) in
   match node.Ast.tag with
-  | Ast.Int_lit -> int_of_string_opt (tok_text st node.Ast.main_token)
+  | Ast.Int_lit -> Ast.int_of_literal (tok_text st node.Ast.main_token)
   | Ast.Un_op
     when st.tokens.(node.Ast.main_token).Token.tag = Token.Minus -> (
       let l = st.nodes.(node.Ast.lhs) in
       if l.Ast.tag <> Ast.Int_lit then None
       else
-        match int_of_string_opt (tok_text st l.Ast.main_token) with
-        | Some v -> Some (-v)
-        | None -> None)
+        Option.map Int.neg (Ast.int_of_literal (tok_text st l.Ast.main_token)))
   | _ -> None
 
 let parse_clauses st (acc : clause_acc) =
@@ -441,7 +450,7 @@ let parse_clauses st (acc : clause_acc) =
         let chunk =
           if eat st Token.Comma <> None then begin
             let t = expect st Token.Int_literal in
-            match int_of_string_opt (tok_text st t) with
+            match Ast.int_of_literal (tok_text st t) with
             | Some c when c > 0 && c <= Ompfront.Packed.max_chunk -> c
             | _ -> fail st "invalid chunk size"
           end
@@ -479,7 +488,7 @@ let parse_clauses st (acc : clause_acc) =
         let _ = expect st Token.L_paren in
         let t = expect st Token.Int_literal in
         let n =
-          match int_of_string_opt (tok_text st t) with
+          match Ast.int_of_literal (tok_text st t) with
           | Some n when n >= 1 && n <= Ompfront.Packed.max_collapse -> n
           | _ -> fail st "invalid collapse count"
         in
@@ -524,7 +533,7 @@ let parse_clauses st (acc : clause_acc) =
         let _ = expect st Token.L_paren in
         let t = expect st Token.Int_literal in
         let n =
-          match int_of_string_opt (tok_text st t) with
+          match Ast.int_of_literal (tok_text st t) with
           | Some n when n >= 1 && n <= Ompfront.Packed.max_chunk -> n
           | _ -> fail st "invalid grainsize"
         in

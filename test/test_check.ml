@@ -563,6 +563,84 @@ fn main() i64 {
   Alcotest.(check (list string)) "same-length arrays keep separate shadows"
     [] (lines_of clean)
 
+(* ---- the walker's trace, pinned ----------------------------------- *)
+
+(* What one DPOR search sees of the walker: the executions, the
+   scheduling decisions summed over them (one per traced access or
+   synchronising operation inside a region), the executions that
+   raced, and the distinct findings with their positions.  The
+   decision count moves whenever a traced access is added, dropped or
+   reordered, before any race id or exit code does.  Budget and team
+   size are CI's corpus settings. *)
+let explore_pinned ~load ~run =
+  let findings, stats =
+    Checker.Dpor.explore ~max_execs:16 ~preempt_bound:2 ~run_one:(fun ex ->
+        Checker.Sched.run_controlled ~load ~run ~nthreads:4 ~ex ())
+  in
+  ( ( stats.Checker.Dpor.executions,
+      stats.Checker.Dpor.decisions,
+      stats.Checker.Dpor.racy_execs ),
+    List.sort_uniq compare
+      (List.map (fun (f : Report.finding) -> f.Report.line) findings) )
+
+let pinned_t = Alcotest.(pair (triple int int int) (list string))
+
+let test_walker_trace_pinned () =
+  let fixture path =
+    let res = Interp.resolve (Interp.parse ~name:path (read_file path)) in
+    explore_pinned
+      ~load:(fun () -> Interp.instantiate res)
+      ~run:(fun prog -> ignore (Interp.run_main prog))
+  in
+  let zr name = Filename.concat examples_dir name in
+  let race var a b snippet fix =
+    Printf.sprintf "race %s: %s vs %s :: `%s` :: suggest %s" var a b snippet
+      fix
+  in
+  let guard var = "atomic/critical around the conflicting accesses, or \
+                   private(" ^ var ^ ")" in
+  Alcotest.check pinned_t "transform/interchange_colmajor"
+    ((1, 262152, 0), [])
+    (fixture (zr "transform/interchange_colmajor.zr"));
+  Alcotest.check pinned_t "dpor/hidden_handoff"
+    ( (10, 756, 8),
+      [ race "data" "write@49:22" "read@59:39" "got__ptr.* = data__ptr.*;"
+          (guard "data") ] )
+    (fixture (zr "dpor/hidden_handoff.zr"));
+  let rmw = "s__ptr.* += x__ptr.*[__omp_iv];" in
+  Alcotest.check pinned_t "racy/missing_reduction"
+    ( (16, 4352, 16),
+      [ race "s" "read@38:19" "write@38:19[+]" rmw (guard "s");
+        race "s" "write@38:19[+]" "write@38:19[+]" rmw "reduction(+: s)" ] )
+    (fixture (zr "racy/missing_reduction.zr"));
+  let use = "total__ptr.* = q__ptr.*[0] + q__ptr.*[n - 1];" in
+  Alcotest.check pinned_t "racy/nowait_useafter"
+    ( (16, 2320, 16),
+      [ race "q" "write@34:13" "read@42:28" use (guard "q");
+        race "q" "write@34:13" "read@42:42" use (guard "q") ] )
+    (fixture (zr "racy/nowait_useafter.zr"));
+  Alcotest.check pinned_t "tasking/tree_sum" ((16, 5168, 0), [])
+    (fixture (Filename.concat (Filename.concat ".." "examples")
+                "tasking/tree_sum.zr"));
+  (* the corpus's is_rank entry: 1024 keys, 16 buckets, 2 iterations *)
+  let p =
+    { Npb.Classes.Is.cls = Npb.Classes.S; total_keys_log2 = 10;
+      max_key_log2 = 7; num_buckets_log2 = 4; max_iterations = 2 }
+  in
+  Alcotest.check pinned_t "npb/is_rank" ((16, 4080, 0), [])
+    (Harness.Zr_is.with_hosts (fun () ->
+         let res =
+           Interp.resolve (Interp.parse ~name:"npb/is_rank.zr" Harness.Zr_is.src)
+         in
+         explore_pinned
+           ~load:(fun () -> Interp.instantiate res)
+           ~run:(fun prog ->
+             let d = Harness.Zr_is.make_data p ~nthreads:4 in
+             ignore
+               (Interp.call prog "is_rank"
+                  (Harness.Zr_is.rank_args d ~itlo:1
+                     ~ithi:p.Npb.Classes.Is.max_iterations)))))
+
 let suite =
   [ Alcotest.test_case "racy fixtures report both locations" `Quick
       test_racy_fixtures;
@@ -609,4 +687,6 @@ let suite =
       test_taskwait_decisions;
     Alcotest.test_case "array shadows: last element, distinct arrays"
       `Quick test_array_shadows;
+    Alcotest.test_case "walker trace pinned: executions, decisions, findings"
+      `Quick test_walker_trace_pinned;
   ]

@@ -10,17 +10,24 @@ module G = QCheck2.Gen
 
 (* ------------------------------------------------------------------ *)
 (* Random sequential programs: integer statements and expressions over
-   a function [fn f(a: i64, b: i64) i64].                              *)
+   a function [fn f(a: i64, b: i64) i64], which may call a second
+   generated function [fn g(x: i64, y: i64) i64].                      *)
 
 type env = {
   readable : string list;    (* in scope, usable in expressions *)
   assignable : string list;  (* readable minus loop counters *)
   fresh : int;               (* next fresh variable suffix *)
+  calls : bool;              (* expressions may call [g] *)
 }
 
 let fresh_var env =
   let name = Printf.sprintf "v%d" env.fresh in
   (name, { env with fresh = env.fresh + 1 })
+
+(* [k >= 0] with a [_] between groups of three digits. *)
+let rec underscored k =
+  if k < 1000 then string_of_int k
+  else Printf.sprintf "%s_%03d" (underscored (k / 1000)) (k mod 1000)
 
 (* Integer expression over the in-scope variables.  Division and modulo
    only ever use literal denominators, so generated programs cannot
@@ -29,21 +36,24 @@ let rec expr_gen env depth =
   let leaf =
     G.oneof
       (G.map string_of_int (G.int_range (-9) 9)
+      :: G.map underscored (G.int_range 1_000 2_000_000)
       :: (if env.readable = [] then [] else [ G.oneofl env.readable ]))
   in
   if depth <= 0 then leaf
   else
     let sub = expr_gen env (depth - 1) in
     G.oneof
-      [ leaf;
-        G.map2 (Printf.sprintf "(%s + %s)") sub sub;
-        G.map2 (Printf.sprintf "(%s - %s)") sub sub;
-        G.map2 (Printf.sprintf "(%s * %s)") sub sub;
-        G.map2 (fun e k -> Printf.sprintf "(%s / %d)" e k) sub
-          (G.int_range 2 7);
-        G.map2 (fun e k -> Printf.sprintf "(%s %% %d)" e k) sub
-          (G.int_range 2 7);
-      ]
+      ([ leaf;
+         G.map2 (Printf.sprintf "(%s + %s)") sub sub;
+         G.map2 (Printf.sprintf "(%s - %s)") sub sub;
+         G.map2 (Printf.sprintf "(%s * %s)") sub sub;
+         G.map2 (fun e k -> Printf.sprintf "(%s / %d)" e k) sub
+           (G.int_range 2 7);
+         G.map2 (fun e k -> Printf.sprintf "(%s %% %d)" e k) sub
+           (G.int_range 2 7) ]
+      @
+      if env.calls then [ G.map2 (Printf.sprintf "g(%s, %s)") sub sub ]
+      else [])
 
 let cond_gen env =
   G.map3
@@ -55,10 +65,9 @@ let cond_gen env =
 let indent lines = List.map (fun l -> "    " ^ l) lines
 
 (* One random statement; returns its lines and the environment visible
-   to the following statements.  [allow_decl] is off inside loop bodies
-   so re-executed blocks never declare (the compiler's compile-time
-   scoping of such blocks is a documented divergence); [allow_shadow]
-   is on only inside nested blocks. *)
+   to the following statements.  Loop bodies declare too, so a block
+   that runs again declares again; [allow_shadow] is on only inside
+   nested blocks. *)
 let rec stmt_gen env depth ~allow_decl ~allow_shadow =
   let assign =
     match env.assignable with
@@ -125,7 +134,7 @@ let rec stmt_gen env depth ~allow_decl ~allow_shadow =
             assignable: only the continue expression advances it *)
          let inner = { env' with readable = cname :: env'.readable } in
          let* body, _ =
-           block_gen inner (depth - 1) ~allow_decl:false ~allow_shadow:false
+           block_gen inner (depth - 1) ~allow_decl:true ~allow_shadow:true
          in
          let lines =
            Printf.sprintf "var %s: i64 = 0;" cname
@@ -150,20 +159,23 @@ and block_gen env depth ~allow_decl ~allow_shadow =
   in
   go env [] n
 
+(* [fn name(p, q: i64) i64] with a random body over its parameters. *)
+let fn_gen ~calls ~depth name (p, q) =
+  let open G in
+  let env = { readable = [ p; q ]; assignable = [ p; q ]; fresh = 0; calls } in
+  let* body, env' = block_gen env depth ~allow_decl:true ~allow_shadow:false in
+  let* ret = expr_gen env' 2 in
+  return
+    ([ Printf.sprintf "fn %s(%s: i64, %s: i64) i64 {" name p q ]
+    @ indent body
+    @ indent [ Printf.sprintf "return %s;" ret ]
+    @ [ "}" ])
+
 let seq_program_gen =
   let open G in
-  let env =
-    { readable = [ "a"; "b" ]; assignable = [ "a"; "b" ]; fresh = 0 }
-  in
-  let* body, env' = block_gen env 3 ~allow_decl:true ~allow_shadow:false in
-  let* ret = expr_gen env' 2 in
-  let src =
-    String.concat "\n"
-      ([ "fn f(a: i64, b: i64) i64 {" ]
-      @ indent body
-      @ indent [ Printf.sprintf "return %s;" ret ]
-      @ [ "}" ])
-  in
+  let* g = fn_gen ~calls:false ~depth:2 "g" ("x", "y") in
+  let* f = fn_gen ~calls:true ~depth:3 "f" ("a", "b") in
+  let src = String.concat "\n" (g @ ("" :: f)) in
   let* a = int_range (-20) 20 in
   let* b = int_range (-20) 20 in
   return (src, a, b)
@@ -186,6 +198,7 @@ let run_engines src fname args =
 let prop_sequential =
   QCheck2.Test.make
     ~name:"random sequential programs: compiled = walker" ~count:500
+    ~long_factor:20
     ~print:(fun (src, a, b) -> Printf.sprintf "a=%d b=%d\n%s" a b src)
     seq_program_gen
     (fun (src, a, b) ->
@@ -251,7 +264,7 @@ let omp_args values =
 let prop_omp_outputs =
   QCheck2.Test.make
     ~name:"random parallel reductions: compiled = walker (any schedule)"
-    ~count:500
+    ~count:500 ~long_factor:20
     ~print:(fun (op, sched, threads, values) ->
       Printf.sprintf "%s threads=%d values=[%s]\n%s"
         (match op with `Add -> "+" | `Mul -> "*")

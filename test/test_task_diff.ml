@@ -142,7 +142,7 @@ let run_tiers =
 let prop_tasking_tiers =
   QCheck2.Test.make
     ~name:"random tasking programs: walker = compiled = bytecode = model"
-    ~count:40
+    ~count:40 ~long_factor:20
     ~print:(fun (segs, nt) ->
       Printf.sprintf "threads=%d expected=%d\n%s" nt
         (expected ~nt segs) (render segs))

@@ -59,8 +59,54 @@ let test_max_threads_roundtrip () =
   Alcotest.(check int) "set/get" 3 (Zigomp.get_max_threads ());
   Zigomp.set_num_threads saved
 
+(* Literals the parser rejects, each with its located message: every
+   entry point reports the same error — [run] on each tier (compile
+   raises before anything runs), [check] and [analyze] as an error
+   finding, [preprocess] by raising. *)
+let located_errors =
+  [ ( "integer literal out of range",
+      "fn main() i64 {\n    var x: i64 = 99999999999999999999;\n    return x;\n}\n",
+      "lit.zr:2:18: integer literal 99999999999999999999 does not fit in i64"
+    );
+    ( "integer literal with separators out of range",
+      "fn main() i64 {\n    return 1 + 4_611_686_018_427_387_904;\n}\n",
+      "lit.zr:2:16: integer literal 4_611_686_018_427_387_904 does not fit \
+       in i64" );
+    ( "invalid escape in a string literal",
+      "fn main() i64 {\n    print(\"\\q\");\n    return 0;\n}\n",
+      "lit.zr:2:11: string literal \"\\q\" has an invalid escape sequence" ) ]
+
+let test_located_errors () =
+  List.iter
+    (fun (what, src, want) ->
+      let raised f =
+        match f () with
+        | _ -> "no error"
+        | exception Zr.Source.Error msg -> msg
+      in
+      List.iter
+        (fun (tier, backend) ->
+          Alcotest.(check string) (what ^ ": run, " ^ tier) want
+            (raised (fun () ->
+                 Zigomp.run_main (Zigomp.compile ~backend ~name:"lit.zr" src))))
+        [ ("ast", `Ast); ("compiled", `Compiled); ("bytecode", `Bytecode) ];
+      let errors (r : Zigomp.Checker.Report.t) =
+        List.map
+          (fun (f : Zigomp.Checker.Report.finding) -> f.Zigomp.Checker.Report.line)
+          r.Zigomp.Checker.Report.findings
+      in
+      Alcotest.(check (list string)) (what ^ ": check") [ "error :: " ^ want ]
+        (errors (Zigomp.check ~name:"lit.zr" src));
+      Alcotest.(check (list string)) (what ^ ": analyze") [ "error :: " ^ want ]
+        (errors (Zigomp.analyze ~name:"lit.zr" src).Zigomp.Analyzer.report);
+      Alcotest.(check string) (what ^ ": preprocess") want
+        (raised (fun () -> Zigomp.preprocess ~name:"lit.zr" src)))
+    located_errors
+
 let suite =
   [ Alcotest.test_case "documentation example" `Quick test_doc_example;
+    Alcotest.test_case "located errors: run on each tier, check, analyze, \
+                        preprocess" `Quick test_located_errors;
     Alcotest.test_case "preprocess entry point" `Quick
       test_preprocess_entry_point;
     Alcotest.test_case "preprocessed source accessor" `Quick

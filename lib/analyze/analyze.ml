@@ -50,9 +50,16 @@ let dedup_by_line fs =
       end)
     fs
 
-(** Analyse a program; never executes it. *)
+(** Analyse a program; never executes it.  A parse error, or a
+    worksharing loop the lowering rejects ({!Preproc.Preprocess.check_loops}),
+    is the one error finding, with the message every other entry point
+    reports. *)
 let run ?(name = "<input>") source : result =
-  match Zr.Parser.parse_string ~name source with
+  match
+    let ast, spans = Zr.Parser.parse_string ~name source in
+    Preproc.Preprocess.check_loops { Preproc.Synth.ast; spans };
+    (ast, spans)
+  with
   | exception Zr.Source.Error msg ->
       { report =
           Report.make ~backend:"analyze" ~name [ Report.error ~detail:msg ];

@@ -43,8 +43,11 @@
     One opcode covers a whole loop: [loop] stands in front of a body
     that is a single accumulate and carries the back edge's counter,
     step, condition and bound; {!Bcexec} runs that accumulate as a
-    native do-while and continues at the loop's exit, so such a loop
-    costs one dispatch per entry instead of two per iteration. *)
+    native loop and continues at the loop's exit, so such a loop costs
+    one dispatch per entry instead of two per iteration.  When the
+    loop's whole trip is known at entry and its counter-indexed
+    accesses are in range over it, the native loop is counted and
+    unchecked but for the gather's data-indexed [b[ix[k]]]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Encoding: each instruction is [width] cells of an [int array] —

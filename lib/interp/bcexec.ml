@@ -14,17 +14,17 @@
     unwind, exactly like the closure tier's abandoned locals.
 
     A [loop] instruction hands the single accumulate after it to
-    {!run_loop}, a native do-while outside {!exec} (so the dispatch
-    loop's code does not grow), and the dispatch continues at the
-    loop's exit.
+    {!run_loop}, a native loop outside {!exec} (so the dispatch loop's
+    code does not grow), and the dispatch continues at the loop's exit.
 
     [Array.unsafe_*] discipline: [code] indices come from the emitter
     (always in range by construction), register indices from the
     allocator; user arrays are touched unsafely only by the [*u]
     opcodes, which {!Bcgen} emits strictly under a per-chunk
-    {!Omp_model.Subscript.in_range} proof, and by the plain store
-    opcodes, which are always preceded by an emitted check or covered
-    by the same proof. *)
+    {!Omp_model.Subscript.in_range} proof, by the plain store opcodes,
+    which are always preceded by an emitted check or covered by the
+    same proof, and by the proven native loops, under the same test
+    over the loop's whole trip, made when the loop is entered. *)
 
 module V = Value
 
@@ -213,15 +213,130 @@ let[@inline] holds cc (x : int) (y : int) =
   else if cc = 4 then x = y
   else x <> y
 
+(** The iterations of a [loop] entered with its counter at [first]:
+    [first], [first + step], ... while [k cc bound].  0 when the trip
+    has no closed form: an [eq] or [ne] test, a step against the test's
+    direction, a test that fails at entry, or bounds so near the ends
+    of the int range that the counter could wrap.  Under these guards
+    neither the count's arithmetic nor the counter's exit value
+    [first + trips * step] overflows. *)
+let trips ~first ~bound ~step cc =
+  let up = cc <= 1 in
+  if cc > 3 || step = 0 || step > 0 <> up || not (holds cc first bound) then
+    0
+  else
+    let span = if up then bound - first else first - bound in
+    let astep = abs step in
+    (* [span] and [astep] are negative only when they wrapped; the other
+       two tests keep [span + astep] and the exit value in range *)
+    if
+      span < 0 || astep < 0 || span > max_int - astep
+      || if up then bound > max_int - step else bound < min_int - step
+    then 0
+    else if astep = 1 then span + (cc land 1)
+    else if cc land 1 = 1 then
+      Omprt.Ws.trip_count ~inclusive:true ~lo:first ~hi:bound ~step ()
+    else Omprt.Ws.trip_count ~lo:first ~hi:bound ~step ()
+
+(* The loops {!run_loop} runs, two per accumulate.  A [proven] one
+   steps [k] to [stop] with no test but the end and no check on the
+   counter-indexed accesses; a [checked] one is the do-while with every
+   check, in the guarded opcode's order.  Each leaves the sum in
+   [floats.(a)], and a checked one the counter in [ints.(kr)] (a proven
+   trip ends at [stop]).  They are leaf functions: in a function that
+   also makes calls, the counter and the sum would live on the stack. *)
+
+let acc_proven floats a arr d k stop step =
+  let k = ref k and s = ref (Array.unsafe_get floats a) in
+  while !k <> stop do
+    s := !s +. Array.unsafe_get arr (!k + d);
+    k := !k + step
+  done;
+  Array.unsafe_set floats a !s
+
+let acc_checked ints kr floats a arr d step cc bound =
+  let k = ref (Array.unsafe_get ints kr)
+  and s = ref (Array.unsafe_get floats a) in
+  while
+    let i = !k + d in
+    if i < 0 || i >= Array.length arr then oob i (Array.length arr);
+    s := !s +. Array.unsafe_get arr i;
+    k := !k + step;
+    holds cc !k bound
+  do
+    ()
+  done;
+  Array.unsafe_set ints kr !k;
+  Array.unsafe_set floats a !s
+
+let dot_proven floats a a1 a2 k stop step =
+  let k = ref k and s = ref (Array.unsafe_get floats a) in
+  while !k <> stop do
+    let i = !k in
+    s := !s +. (Array.unsafe_get a1 i *. Array.unsafe_get a2 i);
+    k := i + step
+  done;
+  Array.unsafe_set floats a !s
+
+let dot_checked ints kr floats a a1 a2 step cc bound =
+  let k = ref (Array.unsafe_get ints kr)
+  and s = ref (Array.unsafe_get floats a) in
+  while
+    let i = !k in
+    if i < 0 || i >= Array.length a1 then oob i (Array.length a1);
+    if i < 0 || i >= Array.length a2 then oob i (Array.length a2);
+    s := !s +. (Array.unsafe_get a1 i *. Array.unsafe_get a2 i);
+    k := i + step;
+    holds cc !k bound
+  do
+    ()
+  done;
+  Array.unsafe_set ints kr !k;
+  Array.unsafe_set floats a !s
+
+let gather_proven floats a a1 ix a2 k stop step =
+  let len2 = Array.length a2 in
+  let k = ref k and s = ref (Array.unsafe_get floats a) in
+  while !k <> stop do
+    let i = !k in
+    let j = Array.unsafe_get ix i in
+    if j < 0 || j >= len2 then oob j len2;
+    s := !s +. (Array.unsafe_get a1 i *. Array.unsafe_get a2 j);
+    k := i + step
+  done;
+  Array.unsafe_set floats a !s
+
+let gather_checked ints kr floats a a1 ix a2 step cc bound =
+  let k = ref (Array.unsafe_get ints kr)
+  and s = ref (Array.unsafe_get floats a) in
+  while
+    let i = !k in
+    if i < 0 || i >= Array.length a1 then oob i (Array.length a1);
+    if i < 0 || i >= Array.length ix then oob i (Array.length ix);
+    let j = Array.unsafe_get ix i in
+    if j < 0 || j >= Array.length a2 then oob j (Array.length a2);
+    s := !s +. (Array.unsafe_get a1 i *. Array.unsafe_get a2 j);
+    k := i + step;
+    holds cc !k bound
+  do
+    ()
+  done;
+  Array.unsafe_set ints kr !k;
+  Array.unsafe_set floats a !s
+
 (** [loop k imm r exit cc] at [base]: run the accumulate that follows it
     as a native [do { acc; ints[k] += imm } while ints[k] cc ints[r]].
-    Each iteration makes the accumulate's own bounds checks, in its
-    order and with its messages, and adds to the sum left to right, as
-    its dispatched twin does.  The emitter guarantees that [r] is not
-    [k] and that every subscript register is [k], so the bound is read
-    once.  The counter and the sum reach their registers only at the
-    exit: a raise leaves them stale, and nothing reads them then,
-    because the unwind skips {!writeback}. *)
+    The emitter guarantees that [r] is not [k] and that every subscript
+    register is [k], so the bound is read once and the whole trip is
+    known at entry ({!trips}).  When every counter-indexed access is in
+    range over the trip ({!Omp_model.Subscript.in_range}), the proven
+    loop runs; the gather keeps the check on [b[ix[k]]], which reads
+    data.  Otherwise the checked loop runs, and the entry is counted in
+    {!Omprt.Profile}.  (The [u] bodies' accesses also carry the
+    emitter's per-chunk proof, so their checks cannot fire.)  Either way
+    the sum is added left to right, and the counter and the sum reach
+    their registers only at the exit: a raise leaves them stale, and
+    nothing reads them then, because the unwind skips {!writeback}. *)
 let run_loop (st : state) (code : int array) base =
   let ints = st.ints and floats = st.floats in
   let kr = Array.unsafe_get code (base + 1)
@@ -233,61 +348,60 @@ let run_loop (st : state) (code : int array) base =
   and b = Array.unsafe_get code (at + 2)
   and d = Array.unsafe_get code (at + 4)
   and x = Array.unsafe_get code (at + 5) in
-  let k = ref (Array.unsafe_get ints kr) in
-  let s = ref (Array.unsafe_get floats a) in
-  (match Array.unsafe_get code at with
-   | 44 (* acc.ld.fu: s += arr[k + off] *) ->
-       let arr = Array.unsafe_get st.farrs b in
-       while
-         s := !s +. Array.unsafe_get arr (!k + d);
-         k := !k + step;
-         holds cc !k bound
-       do
-         ()
-       done
-   | 45 (* accmul.ld.ld.fu: s += a1[k] * a2[k] *) ->
-       let a1 = Array.unsafe_get st.farrs b
-       and a2 = Array.unsafe_get st.farrs d in
-       while
-         let i = !k in
-         s := !s +. (Array.unsafe_get a1 i *. Array.unsafe_get a2 i);
-         k := i + step;
-         holds cc !k bound
-       do
-         ()
-       done
-   | 46 (* accmul.ld.ld.f: a1[k], then a2[k] *) ->
-       let a1 = Array.unsafe_get st.farrs b
-       and a2 = Array.unsafe_get st.farrs d in
-       while
-         let i = !k in
-         if i < 0 || i >= Array.length a1 then oob i (Array.length a1);
-         if i < 0 || i >= Array.length a2 then oob i (Array.length a2);
-         s := !s +. (Array.unsafe_get a1 i *. Array.unsafe_get a2 i);
-         k := i + step;
-         holds cc !k bound
-       do
-         ()
-       done
-   | 51 (* accmul.ld.ldx.f: a1[k], then ix[k], then a2[ix[k]] *) ->
-       let a1 = Array.unsafe_get st.farrs b
-       and ix = Array.unsafe_get st.iarrs d
-       and a2 = Array.unsafe_get st.farrs x in
-       while
-         let i = !k in
-         if i < 0 || i >= Array.length a1 then oob i (Array.length a1);
-         if i < 0 || i >= Array.length ix then oob i (Array.length ix);
-         let j = Array.unsafe_get ix i in
-         if j < 0 || j >= Array.length a2 then oob j (Array.length a2);
-         s := !s +. (Array.unsafe_get a1 i *. Array.unsafe_get a2 j);
-         k := i + step;
-         holds cc !k bound
-       do
-         ()
-       done
-   | op -> V.err "bytecode: invalid loop body %d" op);
-  Array.unsafe_set ints kr !k;
-  Array.unsafe_set floats a !s
+  let first = Array.unsafe_get ints kr in
+  let n = trips ~first ~bound ~step cc in
+  let last = first + ((n - 1) * step) and stop = first + (n * step) in
+  match Array.unsafe_get code at with
+  | 44 (* acc.ld.fu: s += arr[k + off] *) ->
+      let arr = Array.unsafe_get st.farrs b in
+      if
+        n > 0
+        && Omp_model.Subscript.in_range ~first ~last
+             ~len:(Array.length arr) d d
+      then begin
+        acc_proven floats a arr d first stop step;
+        Array.unsafe_set ints kr stop
+      end
+      else begin
+        Omprt.Profile.bc_tick Bc_loop_fallback;
+        acc_checked ints kr floats a arr d step cc bound
+      end
+  | 45 | 46 (* accmul.ld.ld.fu / .f: a1[k], then a2[k] *) ->
+      let a1 = Array.unsafe_get st.farrs b
+      and a2 = Array.unsafe_get st.farrs d in
+      if
+        n > 0
+        && Omp_model.Subscript.in_range ~first ~last
+             ~len:(Array.length a1) 0 0
+        && Omp_model.Subscript.in_range ~first ~last
+             ~len:(Array.length a2) 0 0
+      then begin
+        dot_proven floats a a1 a2 first stop step;
+        Array.unsafe_set ints kr stop
+      end
+      else begin
+        Omprt.Profile.bc_tick Bc_loop_fallback;
+        dot_checked ints kr floats a a1 a2 step cc bound
+      end
+  | 51 (* accmul.ld.ldx.f: a1[k], then ix[k], then a2[ix[k]] *) ->
+      let a1 = Array.unsafe_get st.farrs b
+      and ix = Array.unsafe_get st.iarrs d
+      and a2 = Array.unsafe_get st.farrs x in
+      if
+        n > 0
+        && Omp_model.Subscript.in_range ~first ~last
+             ~len:(Array.length a1) 0 0
+        && Omp_model.Subscript.in_range ~first ~last
+             ~len:(Array.length ix) 0 0
+      then begin
+        gather_proven floats a a1 ix a2 first stop step;
+        Array.unsafe_set ints kr stop
+      end
+      else begin
+        Omprt.Profile.bc_tick Bc_loop_fallback;
+        gather_checked ints kr floats a a1 ix a2 step cc bound
+      end
+  | op -> V.err "bytecode: invalid loop body %d" op
 
 let exec (p : Bc.program) (st : state) (code : int array) =
   let ints = st.ints and floats = st.floats in

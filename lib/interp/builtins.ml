@@ -228,6 +228,24 @@ let dispatch_default ~(call : string -> V.t list -> V.t) fname args : V.t =
         (Omprt.Ws.trip_count ~inclusive:(it incl = 1) ~lo:(it lb)
            ~hi:(it ub) ~step:(it step) ())
   | "__omp_huge", [] -> VFloat infinity
+  | "__omp_red_identity", [ v; code ] -> (
+      (* The identity of the reduction operator numbered [code]
+         ({!Ompfront.Directive.red_op_code}) in the type of [v]: a
+         reduction cell, the original variable's value, or a pointer to
+         it, read here without a checker trace.  An integer cell or
+         value gets an [i64] identity, anything else an [f64] one. *)
+      let int =
+        match v with
+        | VAtomicI _ | VInt _ -> true
+        | VPtr p -> ( match Rt.ptr_read p with VInt _ -> true | _ -> false)
+        | _ -> false
+      in
+      match Ompfront.Directive.red_op_of_code (it code) with
+      | Some (Radd | Rsub) -> if int then VInt 0 else VFloat 0.
+      | Some Rmul -> if int then VInt 1 else VFloat 1.
+      | Some Rmin -> if int then VInt max_int else VFloat infinity
+      | Some Rmax -> if int then VInt min_int else VFloat neg_infinity
+      | None -> err "__omp_red_identity: unknown operator %d" (it code))
   | "__omp_min", [ a; b ] -> if Rt.compare_vals a b <= 0 then a else b
   | "__omp_max", [ a; b ] -> if Rt.compare_vals a b >= 0 then a else b
   (* --- host utilities for writing programs --- *)

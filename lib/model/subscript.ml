@@ -12,23 +12,17 @@
     makes "the analyser's PROVEN verdicts and the codegen's elisions
     agree" a property of one function rather than two copies. *)
 
-(** [touched ~first ~last c_min c_max] — the closed element interval
-    swept by subscripts [iv + c], [c] in [[c_min, c_max]], as [iv]
-    ranges over the closed interval spanned by [first] and [last] (in
-    either order; a negative-step loop hands the bounds reversed). *)
-let touched ~first ~last c_min c_max =
-  let lo = min first last and hi = max first last in
-  (lo + c_min, hi + c_max)
-
 (** [in_range ~first ~last ~len c_min c_max] — every element touched by
     [iv + c], [c] in [[c_min, c_max]], [iv] between [first] and [last]
-    inclusive, is a valid index of an array of length [len].  This is
+    inclusive (in either order; a negative-step loop hands the bounds
+    reversed), is a valid index of an array of length [len].  This is
     the guard-elision side condition: when it holds for a chunk, the
     unguarded opcodes cannot fault.  Written so that arithmetic
     overflow on pathological bounds fails safe (the guarded code path
-    runs instead). *)
+    runs instead), and so that it allocates nothing: the bytecode tier
+    also asks it once per native-loop entry. *)
 let in_range ~first ~last ~len c_min c_max =
-  let lo, hi = touched ~first ~last c_min c_max in
+  let lo = Int.min first last + c_min and hi = Int.max first last + c_max in
   lo >= 0 && hi >= lo && hi < len
 
 (** [affine_interval ~lb ~step ~trips c] — the element interval touched
@@ -39,8 +33,8 @@ let in_range ~first ~last ~len c_min c_max =
 let affine_interval ~lb ~step ~trips c =
   if trips <= 0 then None
   else
-    let first = lb + c and last = lb + ((trips - 1) * step) + c in
-    Some (min first last, max first last)
+    let last = lb + ((trips - 1) * step) in
+    Some (Int.min lb last + c, Int.max lb last + c)
 
 (** [affine_hits ~lb ~step ~trips c k] — whether constant element [k]
     is ever touched by [counter + c]: inside the swept interval and
@@ -49,5 +43,5 @@ let affine_hits ~lb ~step ~trips c k =
   if trips <= 0 || step = 0 then None
   else
     let lo = lb + c and hi = lb + ((trips - 1) * step) + c in
-    if k < min lo hi || k > max lo hi then Some false
+    if k < Int.min lo hi || k > Int.max lo hi then Some false
     else Some ((k - lo) mod step = 0)

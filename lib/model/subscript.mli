@@ -3,13 +3,10 @@
     guard elision ({!Interp.Bc}).  See subscript.ml for the soundness
     argument tying the two together. *)
 
-(** The closed element interval swept by [iv + c], [c] in
-    [[c_min, c_max]], [iv] between [first] and [last] inclusive (either
-    order). *)
-val touched : first:int -> last:int -> int -> int -> int * int
-
-(** Every element touched is a valid index of an array of length
-    [len] — the guard-elision side condition, overflow-safe. *)
+(** Every element touched by [iv + c], [c] in [[c_min, c_max]], [iv]
+    between [first] and [last] inclusive (either order), is a valid
+    index of an array of length [len] — the guard-elision side
+    condition, overflow-safe and allocation-free. *)
 val in_range : first:int -> last:int -> len:int -> int -> int -> bool
 
 (** Whole-loop interval for [counter + c]: first iteration [lb],

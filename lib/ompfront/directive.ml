@@ -72,14 +72,15 @@ let red_op_of_code = function
 let red_op_to_string = function
   | Radd -> "+" | Rsub -> "-" | Rmul -> "*" | Rmin -> "min" | Rmax -> "max"
 
-(** Identity element source text for a reduction's thread-local
-    accumulator (OpenMP requires initialisation with the operator's
-    identity; the paper's III-B1). *)
-let red_op_identity = function
-  | Radd | Rsub -> "0.0"
-  | Rmul -> "1.0"
-  | Rmin -> "__omp_huge()"
-  | Rmax -> "-__omp_huge()"
+(** Source text of a reduction's thread-local accumulator initialiser
+    (OpenMP requires the operator's identity; the paper's III-B1):
+    [__omp_red_identity(of_, code)], the identity in the type of [of_]
+    at run time — an [i64] one for an integer reduction cell, variable
+    or pointer target, else an [f64] one.  [of_] is an expression the
+    thread can evaluate without reading shared memory. *)
+let red_op_identity op of_ =
+  String.concat ""
+    [ "__omp_red_identity("; of_; ", "; string_of_int (red_op_code op); ")" ]
 
 let clause_block_size = 18
 

@@ -66,10 +66,14 @@ let pool_counters =
 let barrier_counters = (Atomics.Int.make 0, Atomics.Int.make 0)
 
 (* Bytecode-tier statistics: drain executions entering the register
-   bytecode, drain executions bailing to the closure tier, and chunks
-   that ran the guard-elided code variant.  Always-on: tier selection
-   must be observable (and testable) without enabling timing. *)
-let bc_counters = (Atomics.Int.make 0, Atomics.Int.make 0, Atomics.Int.make 0)
+   bytecode, drain executions bailing to the closure tier, chunks that
+   ran the guard-elided code variant, and [loop] entries that ran the
+   checked do-while because their trip was not proven in range.
+   Always-on: tier selection must be observable (and testable) without
+   enabling timing. *)
+let bc_counters =
+  (Atomics.Int.make 0, Atomics.Int.make 0, Atomics.Int.make 0,
+   Atomics.Int.make 0)
 
 (* Tasking statistics: tasks created, tasks run inline at the creation
    point (1-thread teams, outside regions, and nested tasks created
@@ -98,10 +102,8 @@ let reset () =
   let s, bl = barrier_counters in
   Atomics.Int.set s 0;
   Atomics.Int.set bl 0;
-  let be, bb, bg = bc_counters in
-  Atomics.Int.set be 0;
-  Atomics.Int.set bb 0;
-  Atomics.Int.set bg 0;
+  let be, bb, bg, bf = bc_counters in
+  List.iter (fun cnt -> Atomics.Int.set cnt 0) [ be; bb; bg; bf ];
   let ts, tu, tp, tt = task_counters in
   Atomics.Int.set ts 0;
   Atomics.Int.set tu 0;
@@ -208,17 +210,20 @@ type bc_event =
   | Bc_entered       (** a drain execution ran on the bytecode tier *)
   | Bc_bailout       (** a drain execution fell back to closures *)
   | Bc_guard_elided  (** a chunk ran the guard-elided code variant *)
+  | Bc_loop_fallback (** a [loop] entry ran the checked do-while *)
 
 type bc_stats = {
   bc_entered : int;
   bc_bailouts : int;
   bc_guard_elided : int;
+  bc_loop_fallbacks : int;
 }
 
 let bc_counter = function
-  | Bc_entered -> (let c, _, _ = bc_counters in c)
-  | Bc_bailout -> (let _, c, _ = bc_counters in c)
-  | Bc_guard_elided -> (let _, _, c = bc_counters in c)
+  | Bc_entered -> (let c, _, _, _ = bc_counters in c)
+  | Bc_bailout -> (let _, c, _, _ = bc_counters in c)
+  | Bc_guard_elided -> (let _, _, c, _ = bc_counters in c)
+  | Bc_loop_fallback -> (let _, _, _, c = bc_counters in c)
 
 let bc_tick e = Atomics.Int.add (bc_counter e) 1
 
@@ -229,14 +234,15 @@ let bc_elided_tick () = bc_tick Bc_guard_elided
 let bc_stats () =
   { bc_entered = Atomics.Int.get (bc_counter Bc_entered);
     bc_bailouts = Atomics.Int.get (bc_counter Bc_bailout);
-    bc_guard_elided = Atomics.Int.get (bc_counter Bc_guard_elided) }
+    bc_guard_elided = Atomics.Int.get (bc_counter Bc_guard_elided);
+    bc_loop_fallbacks = Atomics.Int.get (bc_counter Bc_loop_fallback) }
 
 let bc_report () =
   let s = bc_stats () in
   Printf.sprintf
     "bytecode tier: %d drains entered, %d bailouts to closures, %d \
-     guard-elided chunks\n"
-    s.bc_entered s.bc_bailouts s.bc_guard_elided
+     guard-elided chunks, %d checked loop entries\n"
+    s.bc_entered s.bc_bailouts s.bc_guard_elided s.bc_loop_fallbacks
 
 type task_event =
   | Task_spawned    (** a task created ([__kmpc_omp_task]) *)
@@ -330,7 +336,9 @@ let report () =
   in
   let bc = bc_stats () in
   let table =
-    if bc.bc_entered + bc.bc_bailouts + bc.bc_guard_elided = 0 then table
+    if bc.bc_entered + bc.bc_bailouts + bc.bc_guard_elided
+       + bc.bc_loop_fallbacks = 0
+    then table
     else table ^ bc_report ()
   in
   let ts = task_stats () in

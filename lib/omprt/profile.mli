@@ -107,18 +107,22 @@ val barrier_report : unit -> string
     Always-on counters fed by the interpreter's register-bytecode tier:
     drain executions that entered bytecode, drain executions that
     bailed out to the closure tier (unsupported construct or shape
-    mismatch), and chunks that ran the guard-elided code variant.
-    Zeroed by {!reset}; appended to {!report} when nonzero. *)
+    mismatch), chunks that ran the guard-elided code variant, and
+    native-loop entries whose trip was not proven in range, so they ran
+    the checked do-while (a proven entry ticks nothing).  Zeroed by
+    {!reset}; appended to {!report} when nonzero. *)
 
 type bc_event =
   | Bc_entered       (** a drain execution ran on the bytecode tier *)
   | Bc_bailout       (** a drain execution fell back to closures *)
   | Bc_guard_elided  (** a chunk ran the guard-elided code variant *)
+  | Bc_loop_fallback (** a [loop] entry ran the checked do-while *)
 
 type bc_stats = {
   bc_entered : int;
   bc_bailouts : int;
   bc_guard_elided : int;
+  bc_loop_fallbacks : int;
 }
 
 val bc_tick : bc_event -> unit

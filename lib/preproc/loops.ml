@@ -34,7 +34,7 @@ let step_text (c : Synth.ctx) (s : Nest.step) =
   let t = Synth.node_text c s.Nest.node in
   if s.sign > 0 then t else "-(" ^ t ^ ")"
 
-let plan_loop (c : Synth.ctx) dir : Synth.replacement =
+let plan_loop (c : Synth.ctx) ~globals dir : Synth.replacement =
   let ast = c.ast in
   let node = Ast.node ast dir in
   let cl = Ast.clauses ast dir in
@@ -103,9 +103,15 @@ let plan_loop (c : Synth.ctx) dir : Synth.replacement =
   List.iter
     (fun x -> bpf "    var %s = %s;\n" x (Outline.value_text x))
     fp;
+  (* The identity's type comes from the original variable, looked at
+     without a traced read (a read of a shared original would race with
+     teammates' combines): through the address of a global, else through
+     the variable's value, which is a region's pointer rebinding or a
+     thread-private local. *)
   List.iter
     (fun (op, x) ->
-      bpf "    var %s = %s;\n" (red_tmp x) (Directive.red_op_identity op))
+      let of_ = if Names.Sset.mem x globals then "&" ^ x else x in
+      bpf "    var %s = %s;\n" (red_tmp x) (Directive.red_op_identity op of_))
     reds;
   bpf "    var __omp_iv = undefined;\n";
   (* For collapse(n) the worksharing runs over the fused linear space
@@ -224,8 +230,9 @@ let round (c : Synth.ctx) : string option =
       let outermost =
         Synth.outermost (List.map (fun d -> (d, Synth.node_bytes c d)) dirs)
       in
+      let globals = Names.globals c.ast in
       Some
         (Synth.apply_replacements (Synth.text c)
-           (List.map (plan_loop c) outermost))
+           (List.map (plan_loop c ~globals) outermost))
 
 let run ?name source = round (Synth.parse ?name source)

@@ -147,7 +147,8 @@ let plan_region (c : Synth.ctx) ~counter dir : plan =
   List.iter (fun x -> opf "    var %s = undefined;\n" x) priv;
   List.iter
     (fun (op, x) ->
-      opf "    var %s = %s;\n" x (Ompfront.Directive.red_op_identity op))
+      opf "    var %s = %s;\n" x
+        (Ompfront.Directive.red_op_identity op (Printf.sprintf "red.%s" x)))
     reds;
   let body_text =
     if (Ast.node ast region).Ast.tag = Ast.Block then body_text

@@ -621,26 +621,45 @@ fn f(n: i64, x: []f64, ix: []i64, w: []f64, iw: []i64) f64 {
 
 (* Loops the emitter runs as one [loop] (rule 7), faulting on their
    first, a middle or their last iteration, over the arrays of
-   [csr_oob_gen]'s three lengths: a dot [s += x[k] * x2[k]] or the
-   gather, as a counted inner while or as the drain itself.  The drain
-   form faults its chunk check, so it runs the guarded twin.  [x] is
-   checked first, and a negative start faults it in both arrays. *)
+   [csr_oob_gen]'s three lengths: a dot [s += x[k] * w[k]] or the
+   gather, as a counted inner while or as the drain itself, under [<],
+   [<=], [>] or [>=] with a step of 1 or 2.  [x] is checked first, and
+   a negative counter faults it in both arrays; past the top, the dot
+   faults in [w] and the gather in [ix] alone, which is shorter than
+   [x].  The drain form faults its chunk check, so it runs the guarded
+   twin.  A loop that faults is never proven in range when it is
+   entered, so it runs checked; a proof taken from the wrong end of the
+   trip, or one that skips an array, reads out of bounds instead. *)
 let loop_oob_gen =
   let open G in
   let* gather = bool in
   let* drain = bool in
+  let* cmp = oneofl [ "<"; "<="; ">"; ">=" ] in
+  let* step = int_range 1 2 in
   let* at = oneofl [ `First; `Middle; `Last ] in
   let* d = int_range 1 3 in
   let* n = int_range 1 8 in
-  (* x: n+2, ix: n+1, w: n.  The dot faults in w at n, the gather in
-     ix at n+1. *)
-  let fault = if gather then "n + 1" else "n" in
+  (* x: n+2, ix: n+1, w: n.  Counters from 0 to [top - 1] are in
+     range. *)
+  let top = if gather then n + 1 else n in
+  let* start = int_range 0 (top - 1) in
+  let up = cmp.[0] = '<' and incl = String.length cmp = 2 in
+  (* the first counter value out of range, stepping from [start] *)
+  let rec fault k =
+    if k < 0 || k >= top then k else fault (if up then k + step else k - step)
+  in
+  (* the bound under which the trip ends [beyond] steps after [k] *)
+  let bound k beyond =
+    let k = if up then k + (beyond * step) else k - (beyond * step) in
+    if incl then k else if up then k + 1 else k - 1
+  in
   let lo, hi =
     match at with
-    | `First -> (Printf.sprintf "-%d" d, "n")
-    | `Middle -> ("0", fault ^ " + 2")
-    | `Last -> ("0", fault ^ " + 1")
+    | `First -> if up then (-d, bound 0 2) else (top - 1 + d, bound (-1) 0)
+    | `Middle -> (start, bound (fault start) 2)
+    | `Last -> (start, bound (fault start) 0)
   in
+  let cont = Printf.sprintf "%s %d" (if up then "+=" else "-=") step in
   let rhs k =
     if gather then Printf.sprintf "x[%s] * w[ix[%s]]" k k
     else Printf.sprintf "x[%s] * w[%s]" k k
@@ -648,25 +667,25 @@ let loop_oob_gen =
   let body =
     if drain then
       Printf.sprintf
-        {|    var i: i64 = %s;
+        {|    var i: i64 = %d;
     //$omp parallel for reduction(+: acc) shared(x, ix, w) schedule(static)
-    while (i < %s) : (i += 1) {
+    while (i %s %d) : (i %s) {
         acc += %s;
     }|}
-        lo hi (rhs "i")
+        lo cmp hi cont (rhs "i")
     else
       Printf.sprintf
         {|    var i: i64 = 0;
     //$omp parallel for reduction(+: acc) shared(x, ix, w) schedule(static)
     while (i < n) : (i += 1) {
         var s: f64 = 0.0;
-        var k: i64 = %s;
-        while (k < %s) : (k += 1) {
+        var k: i64 = %d;
+        while (k %s %d) : (k %s) {
             s += %s;
         }
         acc += s;
     }|}
-        lo hi (rhs "k")
+        lo cmp hi cont (rhs "k")
   in
   return (oob_harness body, n, 1)
 
@@ -701,13 +720,17 @@ let bound_oob_gen =
   in
   return (oob_harness body, n, 1)
 
+(* The loop shapes get half the cases: they span four comparisons, two
+   steps, two forms and three fault positions. *)
 let oob_program_gen =
-  G.oneof [ affine_oob_gen; csr_oob_gen; loop_oob_gen; bound_oob_gen ]
+  G.frequency
+    [ (1, affine_oob_gen); (1, csr_oob_gen); (3, loop_oob_gen);
+      (1, bound_oob_gen) ]
 
 let prop_oob_parity =
   QCheck2.Test.make
     ~name:"out-of-bounds bodies: identical error on all three tiers"
-    ~count:100 ~long_factor:20 ~print:print_case oob_program_gen
+    ~count:300 ~long_factor:20 ~print:print_case oob_program_gen
     (fun (src, n, threads) ->
       let (wres, _, _), (cres, _, _), (bres, _, _) =
         run_three_tiers src n threads
@@ -916,6 +939,11 @@ let test_cg_regalloc_golden () =
     bc.Omprt.Profile.bc_bailouts;
   Alcotest.(check bool) "drains entered" true
     (bc.Omprt.Profile.bc_entered > 0);
+  (* every native-loop entry is proven in range: the SpMV gathers' [k]
+     runs over [rowstr[j] .. rowstr[j+1]], the dot products' over the
+     claimed chunk *)
+  Alcotest.(check int) "no conj_grad loop entry runs checked" 0
+    bc.Omprt.Profile.bc_loop_fallbacks;
   let header listing =
     match String.index_opt listing '\n' with
     | Some k -> String.sub listing 0 k
@@ -937,6 +965,51 @@ let test_cg_regalloc_golden () =
       "__omp_outlined_0#7: registers: 4 int (iv=i0, upper=i1), 1 float";
       "__omp_outlined_0#8: registers: 2 int (iv=i0, upper=i1), 4 float" ]
     headers
+
+(* A native loop is proven in range once per entry; only an entry the
+   proof cannot cover runs the checked loop, and Profile counts it.  A
+   [!=] test has no closed-form trip, so each entry of such a loop is
+   checked, with the sum the proven [<] loop gives. *)
+let rows_src cmp =
+  Printf.sprintf
+    {|
+fn f(n: i64, x: []f64) f64 {
+    var acc: f64 = 0.0;
+    var i: i64 = 0;
+    //$omp parallel for reduction(+: acc) shared(x)
+    while (i < n) : (i += 1) {
+        var s: f64 = 0.0;
+        var k: i64 = 0;
+        while (k %s i) : (k += 1) {
+            s += x[k] * x[k];
+        }
+        acc += s;
+    }
+    return acc;
+}
+|}
+    cmp
+
+let test_loops_checked () =
+  Omprt.Api.set_num_threads 1;
+  let n = 9 in
+  let run cmp =
+    Omprt.Profile.reset ();
+    let p = Interp.load ~name:"rows.zr" (rows_src cmp) in
+    let cc = Interp.Compile.compile ~bc:{ Interp.Bcgen.elide = true } p in
+    let r =
+      Interp.Compile.call cc "f"
+        [ V.VInt n; V.VFloatArr (Array.init n float_of_int) ]
+    in
+    let bc = Omprt.Profile.bc_stats () in
+    Omprt.Profile.reset ();
+    Alcotest.(check int) (cmp ^ ": no bailouts") 0 bc.Omprt.Profile.bc_bailouts;
+    (r, bc.Omprt.Profile.bc_loop_fallbacks)
+  in
+  let lt, lt_checked = run "<" and ne, ne_checked = run "!=" in
+  Alcotest.(check int) "<: no checked loop entry" 0 lt_checked;
+  Alcotest.(check int) "!=: every entry checked" (n - 1) ne_checked;
+  Alcotest.(check bool) "< and != agree" true (compare lt ne = 0)
 
 (* collapse(n) loops: the fused-iteration-space drain — counter
    recovery by division/modulo per nest level — specialises into the
@@ -1125,6 +1198,8 @@ let suite =
       test_dot_golden;
     Alcotest.test_case "CG bodies: register-allocation golden" `Quick
       test_cg_regalloc_golden;
+    Alcotest.test_case "native loops: an unprovable entry runs checked"
+      `Quick test_loops_checked;
     Alcotest.test_case "collapse(n) drains enter the VM (recover op)" `Quick
       test_collapse_bytecode;
     Alcotest.test_case "EP/IS bodies bail to closures (and verify)" `Quick

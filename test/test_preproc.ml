@@ -61,7 +61,8 @@ let test_outlining_basics () =
   check_has "reduction written back" "s = __omp_atomic_load(__omp_red_s);" out;
   check_has "fp unpacked under original name" "var n = fp.n;" out;
   check_has "shared unpacked as pointer" "var x__ptr = sh.x;" out;
-  check_has "reduction identity" "var s = 0.0;" out;
+  check_has "reduction identity, typed by the cell"
+    "var s = __omp_red_identity(red.s, 1);" out;
   check_has "atomic combine on exit" "__omp_atomic_combine_add(red.s, s);" out;
   check_not "no pragma left" "//$omp" out
 
@@ -185,7 +186,8 @@ let test_nowait_suppresses_barrier () =
 let test_loop_reduction_temporary () =
   let out = pp_checked (loop_src "schedule(static) reduction(+: s)") in
   (* loop-level reduction into the region-level private s *)
-  check_has "temp accumulator" "var __omp_red_s = 0.0;" out;
+  check_has "temp accumulator, typed by s"
+    "var __omp_red_s = __omp_red_identity(s, 1);" out;
   check_has "guarded combine" "__kmpc_critical(\"__omp_reduction\");" out;
   check_has "combine adds temp" "s = s + __omp_red_s;" out;
   check_has "body updates the temp" "__omp_red_s += 1.0;" out

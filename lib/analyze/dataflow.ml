@@ -177,6 +177,9 @@ type env = {
   mutable byref : Sset.t;
       (* locals captured by reference by some task of the region: the
          one kind of local that IS a shared cell *)
+  captures : int -> Preproc.Tasking.capture list;
+      (* a task construct's captures, against one set of top-level
+         names per analysis *)
 }
 
 (** Scan context: properties of the enclosing constructs. *)
@@ -677,8 +680,7 @@ and scan_ws e ctx dir (cl : D.clauses) wh ~combine_late =
 
 (* ------------------------- tasking constructs ---------------------- *)
 
-and task_captures e dir =
-  Preproc.Tasking.captures { Preproc.Synth.ast = e.ast; spans = e.spans } dir
+and task_captures e dir = e.captures dir
 
 and cap_names caps p =
   List.filter_map
@@ -1059,7 +1061,10 @@ let run (ast : Ast.t) (spans : Ast.spans) : result =
       known = Hashtbl.create 16; seq = 0; phase = 0; next_phase = 1;
       uf = Hashtbl.create 16; accesses = []; loops = []; sloops = [];
       tasks = []; tsyncs = []; reenter = []; locals = Sset.empty;
-      byref = Sset.empty }
+      byref = Sset.empty;
+      captures =
+        Preproc.Tasking.captures { Preproc.Synth.ast = ast; spans }
+          ~globals:(Preproc.Names.globals ast) }
   in
   let regions = ref [] in
   (* a task-family construct with no enclosing parallel region: the

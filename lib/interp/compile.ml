@@ -12,6 +12,10 @@
       time;
     - literal subexpressions constant-folded ({!ce} separates
       compile-time values from residual closures);
+    - float-typed arithmetic, comparisons, index loads and int
+      subscripts evaluated to unboxed OCaml [float]/[bool]/[int] for
+      consumers that convert their operand anyway, with no [Value.t]
+      built in between ({!to_float_fn}, {!to_int_fn}, {!to_bool_fn});
     - direct-call thunks for the hot [.omp.internal] builtins
       ([__omp_ws_cmp], the math helpers, [omp.get_thread_num], ...) so
       no string dispatch survives into loop bodies;
@@ -44,16 +48,237 @@ let err = V.err
 
 type frame = V.t array
 
-(** A compiled expression: either a value known at compile time or a
-    residual closure.  Folding an expression that would raise at run
-    time re-stages it as a raising closure, preserving error timing. *)
+(** A compiled expression: a value known at compile time, a residual
+    closure, or a shape that lets a consumer which converts the value
+    ({!to_float_fn}, {!to_int_fn}, {!to_bool_fn}) skip building it.
+    Folding an expression that would raise at run time re-stages it as
+    a raising closure, preserving error timing. *)
 type ce =
   | Const of V.t
   | Dyn of (frame -> V.t)
+  | Float of (frame -> float)
+      (* float-typed: the value is [V.VFloat (f fr)] *)
+  | Bool of (frame -> bool)
+      (* the value is [V.VBool (f fr)] *)
+  | Load of (frame -> V.t) * (frame -> int)
+      (* [a[i]], closed by its consumer: the array, then the subscript *)
+  | Arith of arith * ce * ce
+      (* a [+ - * / %] that is not float-typed, closed by its consumer;
+         never two [Const]s, which fold *)
 
-let force = function
+and arith = Add | Sub | Mul | Div | Mod
+
+let rt_arith = function
+  | Add -> Rt.add
+  | Sub -> Rt.sub
+  | Mul -> Rt.mul
+  | Div -> Rt.div
+  | Mod -> Rt.modulo
+
+(* The operator on unboxed floats: what [rt_arith] computes once either
+   operand is a float.  Inlined, so the operands stay unboxed. *)
+let[@inline] fop op (x : float) (y : float) =
+  match op with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | Mod -> Float.rem x y
+
+let oob idx len = err "index %d out of bounds (len %d)" idx len
+
+(* [a[idx]] of an array value, with the walker's checks and messages;
+   [load_float] and [load_int] convert the element as [V.to_float] and
+   [V.to_int] would. *)
+let load_value arr idx =
+  match arr with
+  | V.VFloatArr a ->
+      if idx < 0 || idx >= Array.length a then oob idx (Array.length a);
+      V.VFloat a.(idx)
+  | V.VIntArr a ->
+      if idx < 0 || idx >= Array.length a then oob idx (Array.length a);
+      V.VInt a.(idx)
+  | v -> err "indexing a %s" (V.type_name v)
+
+let[@inline] load_float arr idx =
+  match arr with
+  | V.VFloatArr (a : float array) ->
+      if idx < 0 || idx >= Array.length a then oob idx (Array.length a);
+      a.(idx)
+  | V.VIntArr a ->
+      if idx < 0 || idx >= Array.length a then oob idx (Array.length a);
+      float_of_int a.(idx)
+  | v -> err "indexing a %s" (V.type_name v)
+
+let load_int arr idx =
+  match arr with
+  | V.VIntArr a ->
+      if idx < 0 || idx >= Array.length a then oob idx (Array.length a);
+      a.(idx)
+  | V.VFloatArr a ->
+      if idx < 0 || idx >= Array.length a then oob idx (Array.length a);
+      int_of_float a.(idx)
+  | v -> err "indexing a %s" (V.type_name v)
+
+(* Fold a binary operator over two constants; a raise is re-staged. *)
+let fold_const f x y =
+  match f x y with
+  | v -> Const v
+  | exception V.Runtime_error _ -> Dyn (fun _ -> f x y)
+
+(** The value closure of any compiled expression. *)
+let rec force = function
   | Const v -> fun _ -> v
   | Dyn f -> f
+  | Float f -> fun fr -> V.VFloat (f fr)
+  | Bool f -> fun fr -> if f fr then V.VBool true else V.VBool false
+  | Load (ga, gi) ->
+      fun fr ->
+        let arr = ga fr in
+        load_value arr (gi fr)
+  | Arith (op, ca, cb) ->
+      let f = rt_arith op in
+      let ga = force ca and gb = force cb in
+      fun fr ->
+        let x = ga fr in
+        let y = gb fr in
+        f x y
+
+(** [V.to_float] of the value, for a consumer that converts: a
+    float-array store, an operand of float-typed arithmetic, a math
+    builtin's argument. *)
+let to_float_fn = function
+  | Const v ->
+      (match V.to_float v with
+       | x -> fun _ -> x
+       | exception V.Runtime_error _ -> fun _ -> V.to_float v)
+  | Float f -> f
+  | Load (ga, gi) ->
+      fun fr ->
+        let arr = ga fr in
+        load_float arr (gi fr)
+  | c ->
+      let g = force c in
+      fun fr -> V.to_float (g fr)
+
+(** [V.to_int] of the value: subscripts and [&a[i]].  An int [x op k]
+    or [x op y] computes in ints when both values are ints, and through
+    the generic operator otherwise. *)
+let to_int_fn = function
+  | Const v ->
+      (match V.to_int v with
+       | i -> fun _ -> i
+       | exception V.Runtime_error _ -> fun _ -> V.to_int v)
+  | Dyn g -> fun fr -> V.to_int (g fr)
+  | Float f -> fun fr -> int_of_float (f fr)
+  | Load (ga, gi) ->
+      fun fr ->
+        let arr = ga fr in
+        load_int arr (gi fr)
+  | Arith (((Add | Sub | Mul) as op), ca, Const (V.VInt k as kv)) ->
+      let f = rt_arith op and ga = force ca in
+      fun fr ->
+        (match ga fr with
+         | V.VInt x ->
+             (match op with Add -> x + k | Sub -> x - k | _ -> x * k)
+         | va -> V.to_int (f va kv))
+  | Arith (op, ca, cb) ->
+      let f = rt_arith op in
+      let ga = force ca and gb = force cb in
+      fun fr ->
+        let va = ga fr in
+        let vb = gb fr in
+        (match op, va, vb with
+         | Add, V.VInt x, V.VInt y -> x + y
+         | Sub, V.VInt x, V.VInt y -> x - y
+         | Mul, V.VInt x, V.VInt y -> x * y
+         | _ -> V.to_int (f va vb))
+  | Bool _ as c ->
+      let g = force c in
+      fun fr -> V.to_int (g fr)
+
+(** [V.to_bool] of the value: [while]/[if] conditions and the operands
+    of [and]/[or]. *)
+let to_bool_fn = function
+  | Bool f -> f
+  | Const v ->
+      (match V.to_bool v with
+       | b -> fun _ -> b
+       | exception V.Runtime_error _ -> fun _ -> V.to_bool v)
+  | c ->
+      let g = force c in
+      fun fr -> V.to_bool (g fr)
+
+(* Whether the value is a number, or evaluating it raises: then
+   [to_float_fn] reads it exactly as a float operator converts it. *)
+let is_number = function
+  | Float _ | Load _ | Arith _ | Const (V.VFloat _ | V.VInt _) -> true
+  | Const _ | Dyn _ | Bool _ -> false
+
+let is_float_typed = function
+  | Float _ | Const (V.VFloat _) -> true
+  | Const _ | Dyn _ | Bool _ | Load _ | Arith _ -> false
+
+(** A float-typed operator: one operand is float-typed, so the generic
+    operator computes in floats whatever number the other operand is.
+    Operands evaluate left to right; an operand that may not be a number
+    is checked after both are evaluated, and if it is not one the
+    generic operator raises on the two values. *)
+let float_binop op ca cb : frame -> float =
+  match ca, cb with
+  | Const (V.VFloat x), Load (ga, gi) ->
+      fun fr ->
+        let arr = ga fr in
+        let y = load_float arr (gi fr) in
+        fop op x y
+  | Load (ga, gi), Const (V.VFloat y) ->
+      fun fr ->
+        let arr = ga fr in
+        let x = load_float arr (gi fr) in
+        fop op x y
+  | _ when not (is_number ca) ->
+      let f = rt_arith op in
+      let ga = force ca and gb = to_float_fn cb in
+      fun fr ->
+        let va = ga fr in
+        let y = gb fr in
+        let x =
+          match va with
+          | V.VFloat x -> x
+          | V.VInt i -> float_of_int i
+          | _ -> V.to_float (f va (V.VFloat y))
+        in
+        fop op x y
+  | _ when not (is_number cb) ->
+      let f = rt_arith op in
+      let ga = to_float_fn ca and gb = force cb in
+      fun fr ->
+        let x = ga fr in
+        let y =
+          match gb fr with
+          | V.VFloat y -> y
+          | V.VInt j -> float_of_int j
+          | vb -> V.to_float (f (V.VFloat x) vb)
+        in
+        fop op x y
+  | _ ->
+      let ga = to_float_fn ca and gb = to_float_fn cb in
+      fun fr ->
+        let x = ga fr in
+        let y = gb fr in
+        fop op x y
+
+type cmp = Eq | Ne | Lt | Le | Gt | Ge
+
+(* Whether [compare a b = c] satisfies the comparison. *)
+let[@inline] holds cmp c =
+  match cmp with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
 
 (** A compiled function.  Created as a stub for every program function
     before any body compiles, so direct-call sites can link against the
@@ -250,28 +475,17 @@ let eval_args (ga : (frame -> V.t) array) (fr : frame) : V.t list =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Folding combinators.  A compile-time [Runtime_error] is re-staged as
-   a raising closure so errors keep firing at evaluation time.         *)
+(* Folding.  A compile-time [Runtime_error] is re-staged as a raising
+   closure so errors keep firing at evaluation time.                   *)
 
 let fold1 f = function
   | Const x ->
       (match f x with
        | v -> Const v
        | exception V.Runtime_error _ -> Dyn (fun _ -> f x))
-  | Dyn g -> Dyn (fun fr -> f (g fr))
-
-let fold2 f ca cb =
-  match ca, cb with
-  | Const x, Const y ->
-      (match f x y with
-       | v -> Const v
-       | exception V.Runtime_error _ -> Dyn (fun _ -> f x y))
-  | _ ->
-      let ga = force ca and gb = force cb in
-      Dyn (fun fr ->
-          let x = ga fr in
-          let y = gb fr in
-          f x y)
+  | c ->
+      let g = force c in
+      Dyn (fun fr -> f (g fr))
 
 let ( let* ) = Option.bind
 
@@ -389,24 +603,14 @@ let rec compile_expr ctx node : ce =
         | t, v ->
             err "unary '%s' on %s" (Token.tag_to_string t) (V.type_name v)
       in
-      fold1 f (compile_expr ctx n.lhs)
+      (match t, compile_expr ctx n.lhs with
+       | Token.Minus, Float g -> Float (fun fr -> -.g fr)
+       | Token.Bang, Bool g -> Bool (fun fr -> not (g fr))
+       | _, c -> fold1 f c)
   | Ast.Index ->
       (* never folded: array contents are mutable *)
       let ga = force (compile_expr ctx n.lhs) in
-      let gi = force (compile_expr ctx n.rhs) in
-      Dyn (fun fr ->
-          let arr = ga fr in
-          let idx = V.to_int (gi fr) in
-          match arr with
-          | V.VFloatArr a ->
-              if idx < 0 || idx >= Array.length a then
-                err "index %d out of bounds (len %d)" idx (Array.length a);
-              V.VFloat a.(idx)
-          | V.VIntArr a ->
-              if idx < 0 || idx >= Array.length a then
-                err "index %d out of bounds (len %d)" idx (Array.length a);
-              V.VInt a.(idx)
-          | v -> err "indexing a %s" (V.type_name v))
+      Load (ga, to_int_fn (compile_expr ctx n.rhs))
   | Ast.Field ->
       let fname = Ast.token_text ast n.main_token in
       let f base =
@@ -430,14 +634,14 @@ let rec compile_expr ctx node : ce =
       in
       if
         List.for_all
-          (fun (_, c) -> match c with Const _ -> true | Dyn _ -> false)
+          (fun (_, c) -> match c with Const _ -> true | _ -> false)
           fields
       then
         Const
           (V.VStruct
              (List.map
                 (fun (nm, c) ->
-                  match c with Const v -> (nm, v) | Dyn _ -> assert false)
+                  match c with Const v -> (nm, v) | _ -> assert false)
                 fields))
       else
         let gfields =
@@ -459,59 +663,96 @@ let rec compile_expr ctx node : ce =
 and compile_binop ctx n : ce =
   let ast = ctx.cp.prog.ast in
   let t = (Ast.token ast n.Ast.main_token).Token.tag in
+  (* [and]/[or] on a constant left operand that converts *)
+  let const_bool = function
+    | Const va ->
+        (match V.to_bool va with
+         | b -> Some b
+         | exception V.Runtime_error _ -> None)
+    | _ -> None
+  in
+  let ca = compile_expr ctx n.lhs in
+  let cb = compile_expr ctx n.rhs in
   match t with
   | Token.Kw_and ->
-      let ca = compile_expr ctx n.lhs in
-      let cb = compile_expr ctx n.rhs in
-      (match ca with
-       | Const va
-         when (match V.to_bool va with
-               | (_ : bool) -> true
-               | exception V.Runtime_error _ -> false) ->
-           if V.to_bool va then cb else Const (V.VBool false)
-       | _ ->
-           let ga = force ca and gb = force cb in
-           Dyn (fun fr ->
-               if V.to_bool (ga fr) then gb fr else V.VBool false))
+      (match const_bool ca, cb with
+       | Some true, _ -> cb
+       | Some false, _ -> Const (V.VBool false)
+       | None, Bool gb ->
+           let ga = to_bool_fn ca in
+           Bool (fun fr -> ga fr && gb fr)
+       | None, _ ->
+           let ga = to_bool_fn ca and gb = force cb in
+           Dyn (fun fr -> if ga fr then gb fr else V.VBool false))
   | Token.Kw_or ->
-      let ca = compile_expr ctx n.lhs in
-      let cb = compile_expr ctx n.rhs in
-      (match ca with
-       | Const va
-         when (match V.to_bool va with
-               | (_ : bool) -> true
-               | exception V.Runtime_error _ -> false) ->
-           if V.to_bool va then Const (V.VBool true) else cb
+      (match const_bool ca, cb with
+       | Some true, _ -> Const (V.VBool true)
+       | Some false, _ -> cb
+       | None, Bool gb ->
+           let ga = to_bool_fn ca in
+           Bool (fun fr -> ga fr || gb fr)
+       | None, _ ->
+           let ga = to_bool_fn ca and gb = force cb in
+           Dyn (fun fr -> if ga fr then V.VBool true else gb fr))
+  | Token.Plus | Token.Minus | Token.Star | Token.Slash | Token.Percent ->
+      let op =
+        match t with
+        | Token.Plus -> Add
+        | Token.Minus -> Sub
+        | Token.Star -> Mul
+        | Token.Slash -> Div
+        | _ -> Mod
+      in
+      (match ca, cb with
+       | Const x, Const y -> fold_const (rt_arith op) x y
+       | _ when is_float_typed ca || is_float_typed cb ->
+           Float (float_binop op ca cb)
+       | _ -> Arith (op, ca, cb))
+  | Token.Eq_eq | Token.Bang_eq | Token.Lt | Token.Lt_eq | Token.Gt
+  | Token.Gt_eq ->
+      let cmp =
+        match t with
+        | Token.Eq_eq -> Eq
+        | Token.Bang_eq -> Ne
+        | Token.Lt -> Lt
+        | Token.Lt_eq -> Le
+        | Token.Gt -> Gt
+        | _ -> Ge
+      in
+      (match ca, cb with
+       | Const x, Const y ->
+           fold_const (fun a b -> V.VBool (holds cmp (Rt.compare_vals a b))) x y
+       | _
+         when (is_float_typed ca || is_float_typed cb)
+              && is_number ca && is_number cb ->
+           (* one float and one number: [Rt.compare_vals] compares
+              their float conversions *)
+           let ga = to_float_fn ca and gb = to_float_fn cb in
+           Bool (fun fr ->
+               let x = ga fr in
+               let y = gb fr in
+               holds cmp (Float.compare x y))
+       | _, Const (V.VInt k as kv) ->
+           let ga = force ca in
+           Bool (fun fr ->
+               match ga fr with
+               | V.VInt x -> holds cmp (Int.compare x k)
+               | va -> holds cmp (Rt.compare_vals va kv))
        | _ ->
            let ga = force ca and gb = force cb in
-           Dyn (fun fr ->
-               if V.to_bool (ga fr) then V.VBool true else gb fr))
-  | _ ->
-      let ca = compile_expr ctx n.lhs in
-      let cb = compile_expr ctx n.rhs in
-      (match t with
-       | Token.Plus -> fold2 Rt.add ca cb
-       | Token.Minus -> fold2 Rt.sub ca cb
-       | Token.Star -> fold2 Rt.mul ca cb
-       | Token.Slash -> fold2 Rt.div ca cb
-       | Token.Percent -> fold2 Rt.modulo ca cb
-       | Token.Eq_eq ->
-           fold2 (fun a b -> V.VBool (Rt.compare_vals a b = 0)) ca cb
-       | Token.Bang_eq ->
-           fold2 (fun a b -> V.VBool (Rt.compare_vals a b <> 0)) ca cb
-       | Token.Lt -> fold2 (fun a b -> V.VBool (Rt.compare_vals a b < 0)) ca cb
-       | Token.Lt_eq ->
-           fold2 (fun a b -> V.VBool (Rt.compare_vals a b <= 0)) ca cb
-       | Token.Gt -> fold2 (fun a b -> V.VBool (Rt.compare_vals a b > 0)) ca cb
-       | Token.Gt_eq ->
-           fold2 (fun a b -> V.VBool (Rt.compare_vals a b >= 0)) ca cb
-       | t ->
-           let ga = force ca and gb = force cb in
-           let msg = Token.tag_to_string t in
-           Dyn (fun fr ->
-               let _ = ga fr in
-               let _ = gb fr in
-               err "unsupported binary operator '%s'" msg))
+           Bool (fun fr ->
+               let va = ga fr in
+               let vb = gb fr in
+               match va, vb with
+               | V.VInt x, V.VInt y -> holds cmp (Int.compare x y)
+               | _ -> holds cmp (Rt.compare_vals va vb)))
+  | t ->
+      let ga = force ca and gb = force cb in
+      let msg = Token.tag_to_string t in
+      Dyn (fun fr ->
+          let _ = ga fr in
+          let _ = gb fr in
+          err "unsupported binary operator '%s'" msg)
 
 and compile_addr_of ctx node : ce =
   let ast = ctx.cp.prog.ast in
@@ -535,10 +776,10 @@ and compile_addr_of ctx node : ce =
           | v -> err "dereference of %s" (V.type_name v))
   | Ast.Index ->
       let ga = force (compile_expr ctx n.lhs) in
-      let gi = force (compile_expr ctx n.rhs) in
+      let gi = to_int_fn (compile_expr ctx n.rhs) in
       Dyn (fun fr ->
           let arr = ga fr in
-          let idx = V.to_int (gi fr) in
+          let idx = gi fr in
           match arr with
           | V.VFloatArr a -> V.VPtr (V.PElemF (a, idx))
           | V.VIntArr a -> V.VPtr (V.PElemI (a, idx))
@@ -612,23 +853,43 @@ and compile_call ctx node n : ce =
 (* Direct thunks for the builtins that appear inside loop bodies; the
    rest route through the shared [Builtins.dispatch] match. *)
 and compile_builtin ctx fname args_nodes : ce =
-  let ga =
-    Array.of_list
-      (List.map (fun a -> force (compile_expr ctx a)) args_nodes)
-  in
+  let cargs = List.map (compile_expr ctx) args_nodes in
+  match fname, cargs with
+  | "sqrt", [ c ] ->
+      let g = to_float_fn c in
+      Float (fun fr -> sqrt (g fr))
+  | "log", [ c ] ->
+      let g = to_float_fn c in
+      Float (fun fr -> log (g fr))
+  | "exp", [ c ] ->
+      let g = to_float_fn c in
+      Float (fun fr -> exp (g fr))
+  | "fabs", [ c ] ->
+      let g = to_float_fn c in
+      Float (fun fr -> Float.abs (g fr))
+  | "floor", [ c ] ->
+      let g = to_float_fn c in
+      Float (fun fr -> Float.floor (g fr))
+  | "float_of", [ c ] -> Float (to_float_fn c)
+  | "int_of", [ c ] ->
+      let g = to_int_fn c in
+      Dyn (fun fr -> V.VInt (g fr))
+  | _ -> compile_boxed_builtin ctx fname (Array.of_list (List.map force cargs))
+
+and compile_boxed_builtin ctx fname ga : ce =
   let cp = ctx.cp in
   let generic () =
     Dyn (fun fr -> Builtins.dispatch ~call:(ccall cp) fname (eval_args ga fr))
   in
   match fname, ga with
   | "__omp_ws_cmp", [| gi; gu; gs |] ->
-      Dyn (fun fr ->
+      Bool (fun fr ->
           let vi = gi fr in
           let vu = gu fr in
           let s = V.to_int (gs fr) in
           let u = V.to_int vu in
           let i = V.to_int vi in
-          V.VBool (if s > 0 then i <= u else i >= u))
+          if s > 0 then i <= u else i >= u)
   | "__omp_min", [| ga_; gb_ |] ->
       Dyn (fun fr ->
           let a = ga_ fr in
@@ -644,15 +905,6 @@ and compile_builtin ctx fname args_nodes : ce =
       Dyn (fun _ -> V.VInt (Omprt.Api.get_thread_num ()))
   | "__kmpc_omp_taskwait", [||] ->
       Dyn (fun _ -> Omprt.Kmpc.omp_taskwait (); V.VUnit)
-  | "sqrt", [| g |] -> Dyn (fun fr -> V.VFloat (sqrt (V.to_float (g fr))))
-  | "log", [| g |] -> Dyn (fun fr -> V.VFloat (log (V.to_float (g fr))))
-  | "exp", [| g |] -> Dyn (fun fr -> V.VFloat (exp (V.to_float (g fr))))
-  | "fabs", [| g |] ->
-      Dyn (fun fr -> V.VFloat (Float.abs (V.to_float (g fr))))
-  | "floor", [| g |] ->
-      Dyn (fun fr -> V.VFloat (Float.floor (V.to_float (g fr))))
-  | "int_of", [| g |] -> Dyn (fun fr -> V.VInt (V.to_int (g fr)))
-  | "float_of", [| g |] -> Dyn (fun fr -> V.VFloat (V.to_float (g fr)))
   | "len", [| g |] ->
       Dyn (fun fr ->
           match g fr with
@@ -753,14 +1005,14 @@ and compile_stmt ctx node : frame -> unit =
   | Ast.While ->
       let cont = Ast.extra ast n.rhs in
       let body = Ast.extra ast (n.rhs + 1) in
-      let gcond = force (compile_expr ctx n.lhs) in
+      let gcond = to_bool_fn (compile_expr ctx n.lhs) in
       let gbody = compile_stmt ctx body in
       let gcont =
         if cont <> 0 then compile_stmt ctx cont else fun _ -> ()
       in
       fun fr ->
         (try
-           while V.to_bool (gcond fr) do
+           while gcond fr do
              (try gbody fr with Rt.Continue_exc -> ());
              gcont fr
            done
@@ -768,13 +1020,13 @@ and compile_stmt ctx node : frame -> unit =
   | Ast.If ->
       let then_ = Ast.extra ast n.rhs in
       let else_ = Ast.extra ast (n.rhs + 1) in
-      let gcond = force (compile_expr ctx n.lhs) in
+      let gcond = to_bool_fn (compile_expr ctx n.lhs) in
       let gthen = compile_stmt ctx then_ in
       if else_ = 0 then
-        (fun fr -> if V.to_bool (gcond fr) then gthen fr)
+        (fun fr -> if gcond fr then gthen fr)
       else begin
         let gelse = compile_stmt ctx else_ in
-        fun fr -> if V.to_bool (gcond fr) then gthen fr else gelse fr
+        fun fr -> if gcond fr then gthen fr else gelse fr
       end
   | Ast.Return ->
       if n.lhs = 0 then fun _ -> raise (Rt.Return_exc V.VUnit)
@@ -786,7 +1038,9 @@ and compile_stmt ctx node : frame -> unit =
   | Ast.Expr_stmt ->
       (match compile_expr ctx n.lhs with
        | Const _ -> fun _ -> ()
-       | Dyn g -> fun fr -> ignore (g fr))
+       | c ->
+           let g = force c in
+           fun fr -> ignore (g fr))
   | Ast.Omp_parallel | Ast.Omp_for | Ast.Omp_parallel_for | Ast.Omp_barrier
   | Ast.Omp_critical | Ast.Omp_master | Ast.Omp_single | Ast.Omp_atomic ->
       fun _ ->
@@ -797,9 +1051,11 @@ and compile_stmt ctx node : frame -> unit =
 
 and compile_assign ctx n : frame -> unit =
   let ast = ctx.cp.prog.ast in
-  let grhs = force (compile_expr ctx n.Ast.rhs) in
+  let crhs = compile_expr ctx n.Ast.rhs in
+  let grhs = force crhs in
+  let tok = (Ast.token ast n.Ast.main_token).Token.tag in
   let combine : (V.t -> V.t -> V.t) option =
-    match (Ast.token ast n.Ast.main_token).Token.tag with
+    match tok with
     | Token.Eq -> None
     | Token.Plus_eq -> Some Rt.add
     | Token.Minus_eq -> Some Rt.sub
@@ -809,6 +1065,17 @@ and compile_assign ctx n : frame -> unit =
         let msg = Token.tag_to_string t in
         Some (fun _ _ -> err "unsupported assignment operator '%s'" msg)
   in
+  (* a compound store whose right-hand side is float-typed combines in
+     floats: [rt_arith op] (or [Rt.div_assign]) on any number and a
+     [V.VFloat] is [fop op] on the converted number *)
+  let typed_update =
+    match crhs, tok with
+    | Float f, Token.Plus_eq -> Some (Add, f)
+    | Float f, Token.Minus_eq -> Some (Sub, f)
+    | Float f, Token.Star_eq -> Some (Mul, f)
+    | Float f, Token.Slash_eq -> Some (Div, f)
+    | _ -> None
+  in
   let tgt = Ast.node ast n.Ast.lhs in
   match tgt.Ast.tag with
   | Ast.Ident ->
@@ -816,9 +1083,19 @@ and compile_assign ctx n : frame -> unit =
       (match resolve ctx name, combine with
        | Rlocal s, None -> fun fr -> fr.(s) <- grhs fr
        | Rlocal s, Some f ->
-           fun fr ->
-             let rhs = grhs fr in
-             fr.(s) <- f fr.(s) rhs
+           (match typed_update with
+            | Some (op, gf) ->
+                fun fr ->
+                  let r = gf fr in
+                  fr.(s) <-
+                    (match fr.(s) with
+                     | V.VFloat x -> V.VFloat (fop op x r)
+                     | V.VInt i -> V.VFloat (fop op (float_of_int i) r)
+                     | cur -> f cur (V.VFloat r))
+            | None ->
+                fun fr ->
+                  let rhs = grhs fr in
+                  fr.(s) <- f fr.(s) rhs)
        | Rglobal (Rt.Plain r), None -> fun fr -> r := grhs fr
        | Rglobal (Rt.Plain r), Some f ->
            fun fr ->
@@ -835,27 +1112,58 @@ and compile_assign ctx n : frame -> unit =
            fun _ -> err "assignment to undeclared identifier '%s'" name)
   | Ast.Index ->
       let garr = force (compile_expr ctx tgt.Ast.lhs) in
-      let gidx = force (compile_expr ctx tgt.Ast.rhs) in
-      fun fr ->
-        let arr = garr fr in
-        let idx = V.to_int (gidx fr) in
-        (match arr with
-         | V.VFloatArr a ->
-             if idx < 0 || idx >= Array.length a then
-               err "index %d out of bounds (len %d)" idx (Array.length a);
-             let rhs = grhs fr in
-             (match combine with
-              | None -> a.(idx) <- V.to_float rhs
-              | Some f ->
-                  a.(idx) <- V.to_float (f (V.VFloat a.(idx)) rhs))
-         | V.VIntArr a ->
-             if idx < 0 || idx >= Array.length a then
-               err "index %d out of bounds (len %d)" idx (Array.length a);
-             let rhs = grhs fr in
-             (match combine with
-              | None -> a.(idx) <- V.to_int rhs
-              | Some f -> a.(idx) <- V.to_int (f (V.VInt a.(idx)) rhs))
-         | v -> err "indexed assignment to %s" (V.type_name v))
+      let gidx = to_int_fn (compile_expr ctx tgt.Ast.rhs) in
+      (* the element conversions of a plain store: unboxed for a
+         float-typed or loaded right-hand side *)
+      let cv = match crhs with Float _ | Load _ -> crhs | _ -> Dyn grhs in
+      let gfloat = to_float_fn cv and gint = to_int_fn cv in
+      (match combine, typed_update with
+       | None, _ ->
+           fun fr ->
+             let arr = garr fr in
+             let idx = gidx fr in
+             (match arr with
+              | V.VFloatArr a ->
+                  if idx < 0 || idx >= Array.length a then
+                    oob idx (Array.length a);
+                  a.(idx) <- gfloat fr
+              | V.VIntArr a ->
+                  if idx < 0 || idx >= Array.length a then
+                    oob idx (Array.length a);
+                  a.(idx) <- gint fr
+              | v -> err "indexed assignment to %s" (V.type_name v))
+       | Some _, Some (op, gf) ->
+           fun fr ->
+             let arr = garr fr in
+             let idx = gidx fr in
+             (match arr with
+              | V.VFloatArr a ->
+                  if idx < 0 || idx >= Array.length a then
+                    oob idx (Array.length a);
+                  let r = gf fr in
+                  a.(idx) <- fop op a.(idx) r
+              | V.VIntArr a ->
+                  if idx < 0 || idx >= Array.length a then
+                    oob idx (Array.length a);
+                  let r = gf fr in
+                  a.(idx) <- int_of_float (fop op (float_of_int a.(idx)) r)
+              | v -> err "indexed assignment to %s" (V.type_name v))
+       | Some f, None ->
+           fun fr ->
+             let arr = garr fr in
+             let idx = gidx fr in
+             (match arr with
+              | V.VFloatArr a ->
+                  if idx < 0 || idx >= Array.length a then
+                    oob idx (Array.length a);
+                  let rhs = grhs fr in
+                  a.(idx) <- V.to_float (f (V.VFloat a.(idx)) rhs)
+              | V.VIntArr a ->
+                  if idx < 0 || idx >= Array.length a then
+                    oob idx (Array.length a);
+                  let rhs = grhs fr in
+                  a.(idx) <- V.to_int (f (V.VInt a.(idx)) rhs)
+              | v -> err "indexed assignment to %s" (V.type_name v)))
   | Ast.Deref ->
       let gp = force (compile_expr ctx tgt.Ast.lhs) in
       fun fr ->
@@ -875,10 +1183,20 @@ and compile_block ctx node : frame -> unit =
   ctx.scopes <- List.tl ctx.scopes;
   sequence stmts
 
+(* No closure per run: [Array.iter (fun s -> s fr)] would allocate one
+   for every execution of the block. *)
 and sequence = function
   | [||] -> fun _ -> ()
   | [| s |] -> s
-  | arr -> fun fr -> Array.iter (fun s -> s fr) arr
+  | [| s1; s2 |] ->
+      fun fr ->
+        s1 fr;
+        s2 fr
+  | arr ->
+      fun fr ->
+        for k = 0 to Array.length arr - 1 do
+          arr.(k) fr
+        done
 
 and compile_stmts ctx stmts : (frame -> unit) array =
   let out = ref [] in
@@ -975,7 +1293,7 @@ and build_static_drain ctx ~cv ~ub ~stp ~incl ~ivslot ~step2 ~cont ~body =
   ignore (alloc ctx "__omp_ws");
   (* the if-then block opened a scope on the generic path *)
   ctx.scopes <- [] :: ctx.scopes;
-  let gstep2 = force (compile_expr ctx step2) in
+  let gstep2 = to_int_fn (compile_expr ctx step2) in
   let gbody = compile_stmt ctx body in
   let gcont = compile_stmt ctx cont in
   ctx.scopes <- List.tl ctx.scopes;
@@ -1006,7 +1324,7 @@ and build_static_drain ctx ~cv ~ub ~stp ~incl ~ivslot ~step2 ~cont ~body =
             fr.(ivslot) <- V.VInt lower;
             (try
                let rec loop () =
-                 let s = V.to_int (gstep2 fr) in
+                 let s = gstep2 fr in
                  let i = V.to_int fr.(ivslot) in
                  if (if s > 0 then i <= upper else i >= upper) then begin
                    (try gbody fr with Rt.Continue_exc -> ());
@@ -1121,7 +1439,7 @@ and build_dispatch_drain ctx ~kind ~cv ~ub ~stp ~chk ~incl ~ivslot ~step2
   ignore (alloc ctx "__omp_c");
   (* the outer while body block opened a scope on the generic path *)
   ctx.scopes <- [] :: ctx.scopes;
-  let gstep2 = force (compile_expr ctx step2) in
+  let gstep2 = to_int_fn (compile_expr ctx step2) in
   let gbody = compile_stmt ctx ibody in
   let gcont = compile_stmt ctx icont in
   ctx.scopes <- List.tl ctx.scopes;
@@ -1131,7 +1449,7 @@ and build_dispatch_drain ctx ~kind ~cv ~ub ~stp ~chk ~incl ~ivslot ~step2
     fr.(ivslot) <- V.VInt lower;
     try
       let rec loop () =
-        let s = V.to_int (gstep2 fr) in
+        let s = gstep2 fr in
         let i = V.to_int fr.(ivslot) in
         if (if s > 0 then i <= upper else i >= upper) then begin
           (try gbody fr with Rt.Continue_exc -> ());

@@ -267,7 +267,9 @@ let task_counter = function
   | Task_local_pop -> (let _, _, c, _ = task_counters in c)
   | Task_steal -> (let _, _, _, c = task_counters in c)
 
-let task_tick e = Atomics.Int.add (task_counter e) 1
+let task_add e n = Atomics.Int.add (task_counter e) n
+
+let task_tick e = task_add e 1
 
 let task_stats () =
   { tasks_spawned = Atomics.Int.get (task_counter Task_spawned);

@@ -162,6 +162,11 @@ type task_stats = {
 
 val task_tick : task_event -> unit
 
+val task_add : task_event -> int -> unit
+(** [task_add e n] adds [n] to [e]'s counter at once.  A team member
+    counts the tasks it spawns and runs undeferred in its own context,
+    with no atomic, and adds them here when it leaves its region. *)
+
 val task_stats : unit -> task_stats
 
 val task_report : unit -> string

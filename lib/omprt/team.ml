@@ -85,6 +85,12 @@ and ctx = {
       never exceeds [thread_limit] *)
   mutable loop_epoch : int;   (** this thread's count of dispatch loops entered *)
   mutable single_seen : int;  (** this thread's count of single constructs *)
+  mutable spawned : int;
+  mutable undeferred : int;
+  (** tasks this member created, and those of them it ran inline:
+      plain counts, since every spawn would otherwise bump the same two
+      process-wide words from every domain; {!fork} adds them to
+      {!Profile}'s totals when the member leaves the region *)
 }
 
 let next_team_id = Atomic.make 0
@@ -273,12 +279,12 @@ let run_task (c : ctx) (tk : Pool.task) =
     (region bodies, [single], taskloop generators) always are, since
     nothing would keep teammates stealing while they ran inline. *)
 let spawn_task (c : ctx) (f : unit -> unit) =
-  Profile.task_tick Profile.Task_spawned;
+  c.spawned <- c.spawned + 1;
   let nt = c.team.nthreads in
   if nt = 1
      || (c.in_task && Pool.Taskdeque.size c.team.deques.(c.tid) >= nt - 1)
   then begin
-    Profile.task_tick Profile.Task_undeferred;
+    c.undeferred <- c.undeferred + 1;
     exec_task c ~deferred:false ~parent:c.task_node (Icv.copy c.icvs)
       (Pool.fresh_tasknode ()) f
   end
@@ -468,10 +474,16 @@ let fork ?num_threads (body : tid:int -> unit) =
         in_task = false;
         active_levels = active + (if nt > 1 then 1 else 0);
         group_threads = group + (nt - 1);
-        loop_epoch = 0; single_seen = 0 }
+        loop_epoch = 0; single_seen = 0; spawned = 0; undeferred = 0 }
     in
     set_current (Some ctx);
-    Fun.protect ~finally:(fun () -> set_current parent)
+    Fun.protect
+      ~finally:(fun () ->
+        set_current parent;
+        if ctx.spawned > 0 then begin
+          Profile.task_add Profile.Task_spawned ctx.spawned;
+          Profile.task_add Profile.Task_undeferred ctx.undeferred
+        end)
       (fun () ->
         body ~tid;
         (* region-end task scheduling point: every member helps drain

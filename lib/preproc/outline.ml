@@ -52,7 +52,7 @@ type plan = {
 }
 
 (** Build the outlining plan for directive node [dir]. *)
-let plan_region (c : Synth.ctx) ~counter dir : plan =
+let plan_region (c : Synth.ctx) ~globals ~counter dir : plan =
   let ast = c.ast in
   let node = Ast.node ast dir in
   let cl = Ast.clauses ast dir in
@@ -65,7 +65,6 @@ let plan_region (c : Synth.ctx) ~counter dir : plan =
   let red_names = List.map snd reds in
   let declared = Names.declared_under ast region in
   let referenced = Names.referenced_under ast region in
-  let globals = Names.globals ast in
   let explicit =
     Sset.of_list (priv @ fp @ sh_explicit @ red_names)
   in
@@ -176,12 +175,13 @@ let round ~counter (c : Synth.ctx) : string option =
   match outermost with
   | [] -> None
   | dirs ->
+      let globals = Names.globals c.ast in
       let plans =
         List.map
           (fun d ->
             let k = !counter in
             incr counter;
-            plan_region c ~counter:k d)
+            plan_region c ~globals ~counter:k d)
           dirs
       in
       let rewritten =

@@ -60,8 +60,9 @@ type capture = {
     [taskloop]).  Works on both the original source (analysis time,
     where enclosing-shared names are still plain) and the
     post-outlining source (lowering time, where they are [__ptr]
-    rebindings) — the partition rule is the same. *)
-let captures (c : Synth.ctx) dir : capture list =
+    rebindings) — the partition rule is the same.  [globals] is
+    {!Names.globals} of the AST, which callers build once per pass. *)
+let captures (c : Synth.ctx) ~globals dir : capture list =
   let ast = c.Synth.ast in
   let node = Ast.node ast dir in
   let cl = Ast.clauses ast dir in
@@ -72,7 +73,6 @@ let captures (c : Synth.ctx) dir : capture list =
   let sh_explicit = List.map name_of cl.shared in
   let declared = Names.declared_under ast body in
   let referenced = Names.referenced_under ast body in
-  let globals = Names.globals ast in
   let explicit = Sset.of_list (priv @ fp @ sh_explicit) in
   let implicit =
     Sset.elements
@@ -104,11 +104,11 @@ let stmt_plan c dir text =
 
 (* ------------------------------- task ----------------------------- *)
 
-let plan_task (c : Synth.ctx) ~counter dir : plan =
+let plan_task (c : Synth.ctx) ~globals ~counter dir : plan =
   let ast = c.ast in
   let node = Ast.node ast dir in
   let body = node.Ast.rhs in
-  let caps = captures c dir in
+  let caps = captures c ~globals dir in
   let sel p = List.filter_map (fun x -> if p x then Some x.cname else None) in
   let priv = sel (fun x -> x.corigin = `Private) caps in
   let fp = sel (fun x -> x.corigin = `Firstprivate) caps in
@@ -289,13 +289,13 @@ let plan_sections (c : Synth.ctx) dir : plan =
 
 (* ------------------------------- pass ----------------------------- *)
 
-let plan_one (c : Synth.ctx) ~counter dir : plan =
+let plan_one (c : Synth.ctx) ~globals ~counter dir : plan =
   let node = Ast.node c.Synth.ast dir in
   match node.Ast.tag with
   | Ast.Omp_task ->
       let k = !counter in
       incr counter;
-      plan_task c ~counter:k dir
+      plan_task c ~globals ~counter:k dir
   | Ast.Omp_taskwait -> stmt_plan c dir "__kmpc_omp_taskwait();"
   | Ast.Omp_taskloop -> plan_taskloop c dir
   | Ast.Omp_sections -> plan_sections c dir
@@ -318,7 +318,8 @@ let round ~counter (c : Synth.ctx) : string option =
       let outermost =
         Synth.outermost (List.map (fun d -> (d, Synth.node_bytes c d)) dirs)
       in
-      let plans = List.map (plan_one c ~counter) outermost in
+      let globals = Names.globals c.ast in
+      let plans = List.map (fun d -> plan_one c ~globals ~counter d) outermost in
       let rewritten =
         Synth.apply_replacements (Synth.text c)
           (List.map (fun p -> p.replacement) plans)

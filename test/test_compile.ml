@@ -206,6 +206,208 @@ let prop_sequential =
       walker = compiled)
 
 (* ------------------------------------------------------------------ *)
+(* Random float/array programs: float literals and mixed arithmetic,
+   [i ± k] subscripts in and out of range, plain and compound stores of
+   float-typed values into float and int arrays, comparisons of mixed
+   kinds in conditions and as values, ints above 2^53, and operands
+   that fault (an [undefined] local, a bool).  These are the shapes the
+   compiler evaluates unboxed, so both engines' results, array contents
+   and first errors are compared, floats bit for bit.  The helper [h]
+   writes the element a compound store is about to update.            *)
+
+(* The arrays have 6 elements and [i] runs over 0..2: the last forms
+   go out of range on some iteration, or always. *)
+let subscript_gen =
+  G.frequency
+    [ (6, G.return "i");
+      (6, G.map (Printf.sprintf "i + %d") (G.int_range 1 3));
+      (3, G.map string_of_int (G.int_range 0 5));
+      (2, G.return "y[i]");
+      (1, G.oneofl [ "i - 1"; "i + 4"; "-1"; "6" ]) ]
+
+let rec fexpr_gen depth =
+  let leaf =
+    G.frequency
+      [ (6, G.oneofl [ "0.25"; "0.5"; "1.5"; "-2.0"; "3.0"; "0.1"; "1e308" ]);
+        (3, G.oneofl [ "0"; "1"; "3"; "-2"; "9007199254740993" ]);
+        (5, G.map (Printf.sprintf "x[%s]") subscript_gen);
+        (3, G.map (Printf.sprintf "y[%s]") subscript_gen);
+        (6, G.oneofl [ "p"; "q"; "a"; "i" ]);
+        (1, G.oneofl [ "u"; "t" ]) ]
+  in
+  if depth <= 0 then leaf
+  else
+    let sub = fexpr_gen (depth - 1) in
+    let bin op = G.map2 (fun l r -> Printf.sprintf "(%s %s %s)" l op r) sub sub in
+    G.frequency
+      [ (3, leaf); (3, bin "+"); (2, bin "-"); (3, bin "*"); (1, bin "/");
+        (1, bin "%"); (1, G.map (Printf.sprintf "-%s") sub);
+        (1, G.map (Printf.sprintf "sqrt(%s)") sub) ]
+
+let fcond_gen =
+  let cmp =
+    G.map3
+      (fun l op r -> Printf.sprintf "%s %s %s" l op r)
+      (fexpr_gen 1)
+      (G.oneofl [ "<"; "<="; ">"; ">="; "=="; "!=" ])
+      (fexpr_gen 1)
+  in
+  G.frequency
+    [ (4, cmp);
+      (1, G.map2 (Printf.sprintf "(%s) and (%s)") cmp cmp);
+      (1, G.map2 (Printf.sprintf "(%s) or (%s)") cmp cmp);
+      (1, G.return "t") ]
+
+let rec fstmt_gen depth =
+  let store =
+    G.map3
+      (fun arr (s, op) e -> Printf.sprintf "%s[%s] %s %s;" arr s op e)
+      (G.oneofl [ "x"; "y" ])
+      (G.pair subscript_gen (G.oneofl [ "="; "="; "+="; "-="; "*="; "/=" ]))
+      (fexpr_gen 2)
+  in
+  let local =
+    G.map3
+      (fun v op e -> Printf.sprintf "%s %s %s;" v op e)
+      (G.oneofl [ "p"; "q" ])
+      (G.oneofl [ "="; "+="; "-="; "*="; "/=" ])
+      (fexpr_gen 2)
+  in
+  (* the right-hand side calls [h], which rewrites the target element *)
+  let update =
+    G.map3
+      (fun arr (s, op) k -> Printf.sprintf "%s[%s] %s %s * h(x, y, %s);" arr s op k s)
+      (G.oneofl [ "x"; "y" ])
+      (G.pair subscript_gen (G.oneofl [ "+="; "-="; "*="; "/=" ]))
+      (G.oneofl [ "0.5"; "2.0"; "-1.5" ])
+  in
+  let flag = G.map (Printf.sprintf "t = %s;") fcond_gen in
+  let if_stmt () =
+    G.map3
+      (fun c th el ->
+        Printf.sprintf "if (%s) { %s } else { %s }" c (String.concat " " th)
+          (String.concat " " el))
+      fcond_gen
+      (G.list_size (G.int_range 1 2) (fstmt_gen (depth - 1)))
+      (G.list_size (G.int_range 0 1) (fstmt_gen (depth - 1)))
+  in
+  G.frequency
+    ([ (4, store); (2, local); (2, update); (1, flag) ]
+    @ if depth > 0 then [ (1, if_stmt ()) ] else [])
+
+let float_program_gen =
+  let open G in
+  let* body = list_size (int_range 1 4) (fstmt_gen 1) in
+  let src =
+    String.concat "\n"
+      ([ "fn h(x: []f64, y: []i64, k: i64) f64 {";
+         "    x[k] = x[k] * 2.0 + 1.0;";
+         "    y[k] = y[k] * 2 + 1;";
+         "    return 1.5;";
+         "}";
+         "";
+         "fn f(a: i64, b: i64, x: []f64, y: []i64) f64 {";
+         "    var p: f64 = 0.5;";
+         "    var q: i64 = b;";
+         "    var u: f64 = undefined;";
+         "    var t: bool = a < b;";
+         "    var i: i64 = 0;";
+         "    while (i < 3) : (i += 1) {" ]
+      @ List.map (fun s -> "        " ^ s) body
+      @ [ "    }"; "    return p;"; "}" ])
+  in
+  let* a = int_range (-3) 3 in
+  let* b = oneofl [ 1; 3; (1 lsl 53) + 1; max_int ] in
+  let* xs = list_repeat 6 (map float_of_int (int_range (-4) 4)) in
+  let* ys = list_repeat 6 (oneofl [ 0; 1; 2; 4; 5; (1 lsl 53) + 1 ]) in
+  return (src, a, b, Array.of_list xs, Array.of_list ys)
+
+(* Floats compared by their bits, so zeros of different signs differ;
+   NaNs are not: when both operands are NaNs, x86 returns the one in the
+   instruction's first operand, and the OCaml compiler may swap the
+   operands of [+.] and [*.]. *)
+let same_float x y =
+  (Float.is_nan x && Float.is_nan y)
+  || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_outcome (r1, x1, y1) (r2, x2, y2) =
+  (match r1, r2 with
+   | Ok (V.VFloat a), Ok (V.VFloat b) -> same_float a b
+   | _ -> r1 = r2)
+  && Array.for_all2 same_float x1 x2
+  && y1 = y2
+
+let prop_float_arrays =
+  QCheck2.Test.make
+    ~name:"random float/array programs: compiled = walker" ~count:1000
+    ~long_factor:20
+    ~print:(fun (src, a, b, xs, ys) ->
+      Printf.sprintf "a=%d b=%d x=[%s] y=[%s]\n%s" a b
+        (String.concat "; " (Array.to_list (Array.map string_of_float xs)))
+        (String.concat "; " (Array.to_list (Array.map string_of_int ys)))
+        src)
+    float_program_gen
+    (fun (src, a, b, xs, ys) ->
+      let p = Interp.load ~name:"float.zr" src in
+      let run call =
+        let x = Array.copy xs and y = Array.copy ys in
+        let r =
+          try Ok (call [ V.VInt a; V.VInt b; V.VFloatArr x; V.VIntArr y ])
+          with e -> Error (Printexc.to_string e)
+        in
+        (r, x, y)
+      in
+      let walker = run (Interp.call p "f") in
+      let compiled =
+        run (Interp.Compile.call (Interp.Compile.compile p) "f")
+      in
+      same_outcome walker compiled)
+
+(* The taskloop stencil of perfbench's tasking workload, on one thread:
+   its task bodies evaluate each element's loads, products and sum
+   unboxed, so the sweep allocates at most 21 minor words per element
+   (42 when every intermediate was a [Value.t]). *)
+let test_stencil_words () =
+  let src =
+    {|
+fn sweep(n: i64, a: []f64, b: []f64) f64 {
+    //$omp parallel shared(a, b)
+    {
+        //$omp single
+        {
+            var i: i64 = 1;
+            //$omp taskloop grainsize(256)
+            while (i < n - 1) : (i += 1) {
+                b[i] = 0.25 * a[i - 1] + 0.5 * a[i] + 0.25 * a[i + 1];
+            }
+        }
+    }
+    return b[1];
+}
+|}
+  in
+  let cc = Interp.Compile.compile (Interp.load ~name:"sweep.zr" src) in
+  let n = 8192 in
+  let a = Array.init n (fun i -> float_of_int (i mod 7)) in
+  let b = Array.make n 0. in
+  let saved = Omprt.Api.get_max_threads () in
+  Omprt.Api.set_num_threads 1;
+  let sweep () =
+    ignore (Interp.Compile.call cc "sweep" [ V.VInt n; V.VFloatArr a; V.VFloatArr b ])
+  in
+  sweep ();
+  let w0 = Gc.minor_words () in
+  sweep ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Omprt.Api.set_num_threads saved;
+  for i = 1 to n - 2 do
+    let expect = (0.25 *. a.(i - 1)) +. (0.5 *. a.(i)) +. (0.25 *. a.(i + 1)) in
+    if b.(i) <> expect then Alcotest.failf "b[%d] = %g, expected %g" i b.(i) expect
+  done;
+  if words > 21. then
+    Alcotest.failf "%.1f minor words per element, at most 21 expected" words
+
+(* ------------------------------------------------------------------ *)
 (* Random OpenMP programs: the pipeline-property reduce template with
    random schedule, team size and inputs, executed by both engines.    *)
 
@@ -423,6 +625,9 @@ fn f(n: i64) i64 {
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_sequential;
+    QCheck_alcotest.to_alcotest prop_float_arrays;
+    Alcotest.test_case "stencil task body: at most 21 words per element"
+      `Quick test_stencil_words;
     QCheck_alcotest.to_alcotest prop_omp_outputs;
     QCheck_alcotest.to_alcotest prop_omp_profile_counts;
     Alcotest.test_case "layout: params then locals" `Quick
